@@ -41,8 +41,10 @@ int main() {
   bench::print_banner("fig4 — dictionary vs BGP-observed community clusters",
                       cfg);
   const auto scenario = routing::Scenario::build(cfg);
-  const auto index = core::ObservationIndex::from_entries(
-      scenario.entries(), &scenario.topology().orgs);
+  bgp::PathTable paths;
+  const auto tuples = bgp::intern_entries(paths, scenario.entries());
+  const auto index = core::ObservationIndex::build_interned(
+      paths, tuples, &scenario.topology().orgs);
 
   // Pick ASes that (like the paper's 30) define both intents and were
   // observed in BGP data.

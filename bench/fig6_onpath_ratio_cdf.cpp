@@ -16,8 +16,10 @@ int main() {
                       cfg);
   const auto scenario = routing::Scenario::build(cfg);
   const auto entries = scenario.entries();
-  const auto index = core::ObservationIndex::from_entries(
-      entries, &scenario.topology().orgs);
+  bgp::PathTable paths;
+  const auto tuples = bgp::intern_entries(paths, entries);
+  const auto index = core::ObservationIndex::build_interned(
+      paths, tuples, &scenario.topology().orgs);
   const auto clusters =
       core::baseline_clusters(index, scenario.ground_truth());
 

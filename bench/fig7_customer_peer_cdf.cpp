@@ -26,8 +26,10 @@ int main() {
               relationships.link_count(), relationships.p2c_count(),
               relationships.p2p_count());
 
-  const auto index = core::ObservationIndex::from_entries(
-      entries, &scenario.topology().orgs, &relationships);
+  bgp::PathTable table;
+  const auto tuples = bgp::intern_entries(table, entries);
+  const auto index = core::ObservationIndex::build_interned(
+      table, tuples, &scenario.topology().orgs, &relationships);
   const auto clusters =
       core::baseline_clusters(index, scenario.ground_truth());
 

@@ -3,7 +3,8 @@
 //
 // The comparison is file-based and matches the product's real before/after
 // data flows.  The materializing baseline is the seed CLI path — an
-// std::ifstream feeding read_rib_entries(), which holds every decoded row
+// std::ifstream decoded into a RibEntry vector (read_rows() below, a vector
+// sink over mrt::decode_rib_stream), which holds every decoded row
 // (prefix, full AsPath, community vectors) live at once before
 // intern_entries() collapses them into the PathTable + 8-byte tuple
 // records.  The streaming variant is the current CLI path — open_source()
@@ -110,6 +111,22 @@ std::string make_mrt_workload(std::size_t prefixes, std::size_t vps,
   mrt::MrtWriter writer(out);
   writer.write_rib_snapshot(entries, 0x7f000001, 1684886400);
   return std::move(out).str();
+}
+
+/// The materializing arm's decode: every row of the stream appended to a
+/// vector, as the seed CLI's reader did.
+std::vector<bgp::RibEntry> read_rows(std::istream& in,
+                                     mrt::DecodeReport* report = nullptr) {
+  class VectorSink final : public mrt::EntrySink {
+   public:
+    std::vector<bgp::RibEntry> rows;
+    void on_entry(bgp::RibEntry& entry) override {
+      rows.push_back(std::move(entry));
+    }
+  };
+  VectorSink sink;
+  mrt::decode_rib_stream(in, sink, {}, report);
+  return std::move(sink.rows);
 }
 
 /// Heap bytes behind one materialized RIB row — what the row vector pays
@@ -230,7 +247,7 @@ int main() {
   std::size_t streaming_rows = 0;
   {
     std::ifstream in(path, std::ios::binary);
-    const auto entries = mrt::read_rib_entries(in);
+    const auto entries = read_rows(in);
     bgp::PathTable table;
     const auto tuples = bgp::intern_entries(table, entries);
     materialize_bytes = entries.capacity() * sizeof(bgp::RibEntry) +
@@ -250,7 +267,7 @@ int main() {
   // the timed region.
   const double materialize_ms = best_of_ms(repeats, [&] {
     std::ifstream in(path, std::ios::binary);
-    const auto entries = mrt::read_rib_entries(in);
+    const auto entries = read_rows(in);
     bgp::PathTable table;
     const auto tuples = bgp::intern_entries(table, entries);
     if (tuples.empty()) std::abort();  // keep the work observable
@@ -297,7 +314,7 @@ int main() {
   const double materialize_e2e_ms = best_of_ms(repeats, [&] {
     std::ifstream in(path, std::ios::binary);
     mrt::DecodeReport report;
-    const auto rows = mrt::read_rib_entries(in, {}, &report);
+    const auto rows = read_rows(in, &report);
     materialized_result = pipeline.run(rows);
     materialized_result.decode_report = std::move(report);
   });

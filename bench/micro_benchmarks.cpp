@@ -1,26 +1,11 @@
 // Performance micro-benchmarks (google-benchmark): throughput of the hot
 // paths a consumer of this library cares about when pointing it at real
-// RouteViews-scale data — tuple indexing, clustering, classification,
-// pattern matching, and MRT encode/decode.
-//
-// After the google-benchmark suite, main() runs the observation-core
-// report: the multi-community synthetic workload (many communities per
-// route, heavy path repetition — the shape Krenc et al. report for real
-// feeds) built twice, once with the seed's per-tuple AsPath copies and
-// hash-set accumulators ("legacy") and once through the bgp::PathTable
-// interned core.  Results are printed as JSON lines and written to
-// BENCH_observations.json (override the path with BGPINTENT_BENCH_JSON)
-// so the perf trajectory accumulates across PRs — see docs/PERFORMANCE.md.
+// RouteViews-scale data — path interning, tuple indexing, clustering,
+// classification, pattern matching, and MRT encode/decode.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/pipeline.hpp"
 #include "dict/builtin.hpp"
@@ -49,18 +34,6 @@ const std::vector<bgp::RibEntry>& shared_entries() {
   static const std::vector<bgp::RibEntry> entries = shared_scenario().entries();
   return entries;
 }
-
-void BM_ObservationIndexBuild(benchmark::State& state) {
-  const auto& entries = shared_entries();
-  const auto tuples = bgp::tuples_from_entries(entries);
-  for (auto _ : state) {
-    auto index = core::ObservationIndex::build(tuples);
-    benchmark::DoNotOptimize(index.community_count());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tuples.size()));
-}
-BENCHMARK(BM_ObservationIndexBuild);
 
 void BM_PathTableIntern(benchmark::State& state) {
   const auto& entries = shared_entries();
@@ -107,8 +80,10 @@ void BM_GapClustering(benchmark::State& state) {
 BENCHMARK(BM_GapClustering);
 
 void BM_Classify(benchmark::State& state) {
-  const auto index = core::ObservationIndex::from_entries(
-      shared_entries(), &shared_scenario().topology().orgs);
+  bgp::PathTable table;
+  const auto tuples = bgp::intern_entries(table, shared_entries());
+  const auto index = core::ObservationIndex::build_interned(
+      table, tuples, &shared_scenario().topology().orgs);
   for (auto _ : state) {
     auto result = core::classify(index);
     benchmark::DoNotOptimize(result.classified_count());
@@ -183,10 +158,15 @@ void BM_MrtDecodeRib(benchmark::State& state) {
   mrt::MrtWriter writer(out);
   writer.write_rib_snapshot(shared_entries(), 0x7f000001, 1684886400);
   const std::string bytes = out.str();
+  struct CountingSink final : mrt::EntrySink {
+    std::size_t rows = 0;
+    void on_entry(bgp::RibEntry&) override { ++rows; }
+  };
   for (auto _ : state) {
     std::istringstream in(bytes);
-    auto entries = mrt::read_rib_entries(in);
-    benchmark::DoNotOptimize(entries.size());
+    CountingSink sink;
+    mrt::decode_rib_stream(in, sink);
+    benchmark::DoNotOptimize(sink.rows);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes.size()));
@@ -204,240 +184,6 @@ void BM_RoutePropagation(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutePropagation);
 
-// ---------------------------------------------------------------------------
-// Observation-core report: legacy (seed) build vs interned build on the
-// multi-community workload, emitted as JSON.
-
-/// The seed implementation of ObservationIndex accumulation, kept here as
-/// the measurement baseline: one full AsPath per tuple, per-community
-/// unordered_set<uint64> on/off accumulators, on-path recomputed for every
-/// tuple.  Counts must match the interned build exactly (verified below).
-struct LegacyStats {
-  std::size_t on = 0;
-  std::size_t off = 0;
-};
-
-std::unordered_map<bgp::Community, LegacyStats> legacy_build(
-    const std::vector<bgp::PathCommunityTuple>& tuples,
-    const topo::OrgMap* orgs) {
-  struct Acc {
-    std::unordered_set<std::uint64_t> on_paths;
-    std::unordered_set<std::uint64_t> off_paths;
-  };
-  std::unordered_map<bgp::Community, Acc> acc;
-  std::unordered_set<std::uint64_t> unique_paths;
-  std::unordered_set<bgp::Asn> asns_on_paths;
-  for (const bgp::PathCommunityTuple& tuple : tuples) {
-    const std::uint64_t path_hash = tuple.path.hash();
-    unique_paths.insert(path_hash);
-    for (const bgp::Asn asn : tuple.path.unique_asns())
-      asns_on_paths.insert(asn);
-    const std::uint16_t alpha = tuple.community.alpha();
-    bool on = tuple.path.contains(alpha);
-    if (!on && orgs != nullptr)
-      for (const bgp::Asn sibling : orgs->siblings(alpha))
-        if (sibling != alpha && tuple.path.contains(sibling)) on = true;
-    Acc& a = acc[tuple.community];
-    (on ? a.on_paths : a.off_paths).insert(path_hash);
-  }
-  benchmark::DoNotOptimize(unique_paths.size());
-  benchmark::DoNotOptimize(asns_on_paths.size());
-  std::unordered_map<bgp::Community, LegacyStats> stats;
-  for (const auto& [community, a] : acc)
-    stats[community] = LegacyStats{a.on_paths.size(), a.off_paths.size()};
-  return stats;
-}
-
-/// Heap bytes behind one AsPath value (segment vector + per-segment ASN
-/// storage) — what every materialized tuple pays again for an already-seen
-/// path.
-std::size_t aspath_heap_bytes(const bgp::AsPath& path) {
-  std::size_t bytes = path.segments().capacity() * sizeof(bgp::PathSegment);
-  for (const auto& seg : path.segments())
-    bytes += seg.asns.capacity() * sizeof(bgp::Asn);
-  return bytes;
-}
-
-/// Multi-community workload: a pool of unique AS paths replayed with heavy
-/// repetition (a week of updates re-announces the same paths), each route
-/// carrying many communities of a handful of alphas — the shape that makes
-/// per-tuple path copies quadratic-feeling in practice.
-std::vector<bgp::RibEntry> multi_community_entries(std::size_t unique_paths,
-                                                   std::size_t announcements,
-                                                   std::size_t communities_per,
-                                                   topo::OrgMap& orgs) {
-  util::Rng rng(20230807);
-  std::vector<bgp::AsPath> pool;
-  pool.reserve(unique_paths);
-  for (std::size_t p = 0; p < unique_paths; ++p) {
-    const std::size_t hops = 3 + rng.uniform(0, 4);
-    std::vector<bgp::Asn> seq;
-    seq.reserve(hops);
-    seq.push_back(64000 + static_cast<bgp::Asn>(rng.uniform(0, 499)));  // VP neighbor
-    for (std::size_t h = 1; h + 1 < hops; ++h)
-      seq.push_back(1000 + static_cast<bgp::Asn>(rng.uniform(0, 299)));  // transit
-    seq.push_back(30000 + static_cast<bgp::Asn>(rng.uniform(0, 1999)));  // origin
-    pool.emplace_back(std::move(seq));
-  }
-  // Sibling groups over part of the transit range, to exercise the
-  // org-expansion in both implementations.
-  for (bgp::Asn asn = 1000; asn < 1100; ++asn)
-    orgs.assign(asn, static_cast<topo::OrgId>((asn - 1000) / 4));
-
-  std::vector<bgp::RibEntry> entries;
-  entries.reserve(announcements);
-  for (std::size_t i = 0; i < announcements; ++i) {
-    bgp::RibEntry entry;
-    entry.route.path = pool[rng.uniform(0, static_cast<std::uint32_t>(
-                                               unique_paths - 1))];
-    entry.route.communities.reserve(communities_per);
-    // ~3 distinct alphas per route tag blocks of betas (a route's tags come
-    // from the few networks it traversed); half the alphas are transit ASNs
-    // (often on-path), half are edge tags (off-path).
-    std::uint16_t route_alphas[3];
-    for (std::uint16_t& alpha : route_alphas) {
-      const bool transit = rng.uniform(0, 1) == 0;
-      alpha = transit ? static_cast<std::uint16_t>(1000 + rng.uniform(0, 299))
-                      : static_cast<std::uint16_t>(20000 + rng.uniform(0, 99));
-    }
-    for (std::size_t c = 0; c < communities_per; ++c) {
-      const std::uint16_t alpha = route_alphas[rng.uniform(0, 2)];
-      const std::uint16_t beta =
-          static_cast<std::uint16_t>(rng.uniform(0, 1) == 0
-                                         ? 100 + rng.uniform(0, 40)
-                                         : 3000 + rng.uniform(0, 40));
-      entry.route.communities.emplace_back(alpha, beta);
-    }
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
-double best_of_ms(int repeats, const std::function<void()>& body) {
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    body();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-int observation_core_report() {
-  const int repeats = [] {
-    const char* env = std::getenv("BGPINTENT_BENCH_REPEATS");
-    return env != nullptr ? std::max(1, std::atoi(env)) : 3;
-  }();
-
-  topo::OrgMap orgs;
-  const auto entries = multi_community_entries(
-      /*unique_paths=*/4000, /*announcements=*/24000, /*communities_per=*/12,
-      orgs);
-
-  // Legacy representation: one AsPath copy per (path, community) tuple.
-  // The timed region mirrors what the seed from_entries() paid on every
-  // build: materialize the tuple vector, then accumulate — symmetric with
-  // the interned region below, which likewise starts from the entries.
-  std::vector<bgp::PathCommunityTuple> legacy_tuples;
-  std::unordered_map<bgp::Community, LegacyStats> legacy_stats;
-  const double legacy_ms = best_of_ms(repeats, [&] {
-    legacy_tuples = bgp::tuples_from_entries(entries);
-    legacy_stats = legacy_build(legacy_tuples, &orgs);
-  });
-  std::size_t legacy_bytes =
-      legacy_tuples.capacity() * sizeof(bgp::PathCommunityTuple);
-  for (const auto& tuple : legacy_tuples)
-    legacy_bytes += aspath_heap_bytes(tuple.path);
-
-  // Interned representation: flat path arena + 8-byte records.  The timed
-  // region includes interning itself — it is part of every real build.
-  std::size_t interned_bytes = 0;
-  core::ObservationIndex interned_index;
-  const double interned_ms = best_of_ms(repeats, [&] {
-    bgp::PathTable table;
-    const auto tuples = bgp::intern_entries(table, entries);
-    interned_index = core::ObservationIndex::build_interned(table, tuples,
-                                                            &orgs);
-    interned_bytes =
-        table.memory_bytes() + tuples.capacity() * sizeof(bgp::InternedTuple);
-  });
-
-  // The speedup claim is only worth reporting if the outputs agree.
-  bool identical = interned_index.community_count() == legacy_stats.size();
-  for (const auto& [community, stats] : legacy_stats) {
-    const core::CommunityStats* s = interned_index.find(community);
-    if (s == nullptr || s->on_path_paths != stats.on ||
-        s->off_path_paths != stats.off) {
-      identical = false;
-      break;
-    }
-  }
-
-  const double speedup = interned_ms > 0.0 ? legacy_ms / interned_ms : 0.0;
-  const double memory_ratio =
-      interned_bytes > 0
-          ? static_cast<double>(legacy_bytes) /
-                static_cast<double>(interned_bytes)
-          : 0.0;
-
-  const auto json_line = [](const char* metric, double value) {
-    std::printf(
-        "{\"bench\": \"observation_core_multi_community\", \"metric\": "
-        "\"%s\", \"value\": %.3f}\n",
-        metric, value);
-  };
-  std::printf("\n== observation core: legacy vs interned ==\n");
-  json_line("legacy_build_ms", legacy_ms);
-  json_line("interned_build_ms", interned_ms);
-  json_line("build_speedup", speedup);
-  json_line("legacy_tuple_bytes", static_cast<double>(legacy_bytes));
-  json_line("interned_tuple_bytes", static_cast<double>(interned_bytes));
-  json_line("memory_ratio", memory_ratio);
-  json_line("identical", identical ? 1.0 : 0.0);
-
-  const char* out_path = std::getenv("BGPINTENT_BENCH_JSON");
-  if (out_path == nullptr) out_path = "BENCH_observations.json";
-  if (std::FILE* out = std::fopen(out_path, "w")) {
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"bench\": \"observation_core_multi_community\",\n"
-        "  \"workload\": {\"unique_paths\": 4000, \"announcements\": 24000, "
-        "\"communities_per_route\": 12, \"tuples\": %zu},\n"
-        "  \"results\": {\n"
-        "    \"legacy_build_ms\": %.3f,\n"
-        "    \"interned_build_ms\": %.3f,\n"
-        "    \"build_speedup\": %.2f,\n"
-        "    \"legacy_tuple_bytes\": %zu,\n"
-        "    \"interned_tuple_bytes\": %zu,\n"
-        "    \"memory_ratio\": %.2f,\n"
-        "    \"identical\": %s\n"
-        "  }\n"
-        "}\n",
-        legacy_tuples.size(), legacy_ms, interned_ms, speedup, legacy_bytes,
-        interned_bytes, memory_ratio, identical ? "true" : "false");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path);
-  } else {
-    std::fprintf(stderr, "could not write %s\n", out_path);
-    return 1;
-  }
-  if (!identical) {
-    std::printf("FAIL: interned build disagrees with the legacy build\n");
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return observation_core_report();
-}
+BENCHMARK_MAIN();

@@ -59,17 +59,19 @@ int main() {
   writer.write_rib_snapshot(entries, 0x7f000001, 1684886400);
   const std::string bytes = mrt_bytes.str();
 
-  // Ingest workload: the tuple stream repeated 3x, mimicking the heavy
+  // Ingest workload: the RIB rows repeated 3x, mimicking the heavy
   // duplication of a week of RIB snapshots + updates (the method counts
   // unique paths, so repetition changes work, not results).
-  const auto base_tuples = bgp::tuples_from_entries(entries);
-  std::vector<bgp::PathCommunityTuple> tuples;
-  tuples.reserve(base_tuples.size() * 3);
+  std::vector<bgp::RibEntry> repeated;
+  repeated.reserve(entries.size() * 3);
   for (int copy = 0; copy < 3; ++copy)
-    tuples.insert(tuples.end(), base_tuples.begin(), base_tuples.end());
+    repeated.insert(repeated.end(), entries.begin(), entries.end());
+  std::size_t tuple_count = 0;
+  for (const bgp::RibEntry& entry : repeated)
+    tuple_count += entry.route.communities.size();
 
   std::printf("workload: %zu RIB entries, %zu MRT bytes, %zu tuples\n\n",
-              entries.size(), bytes.size(), tuples.size());
+              entries.size(), bytes.size(), tuple_count);
 
   struct Row {
     unsigned threads;
@@ -92,7 +94,7 @@ int main() {
       result = pipeline.run_mrt(in);
     });
     const double ingest_ms =
-        best_of(3, [&]() { (void)pipeline.run(tuples); });
+        best_of(3, [&]() { (void)pipeline.run(repeated); });
 
     if (threads == 1) reference = std::move(result);
     const bool same = threads == 1 || identical(result, reference);

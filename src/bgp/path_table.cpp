@@ -312,13 +312,4 @@ std::vector<InternedTuple> intern_entries(PathTable& table,
   return tuples;
 }
 
-std::vector<InternedTuple> intern_tuples(
-    PathTable& table, std::span<const PathCommunityTuple> tuples) {
-  std::vector<InternedTuple> out;
-  out.reserve(tuples.size());
-  for (const PathCommunityTuple& tuple : tuples)
-    out.push_back(InternedTuple{table.intern(tuple.path), tuple.community});
-  return out;
-}
-
 }  // namespace bgpintent::bgp

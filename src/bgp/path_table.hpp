@@ -193,14 +193,9 @@ class PathTable {
 /// Expands RIB entries into interned tuples against `table`: each route's
 /// path is interned once, then referenced by every community it carries.
 /// The result vector is reserve()d from a counting pre-pass.  This is the
-/// single tuple-expansion helper behind ObservationIndex::from_entries and
-/// both Pipeline entry points.
+/// tuple-expansion helper behind Pipeline::run(entries); the streaming
+/// twin is core::MrtIngest's sink.
 [[nodiscard]] std::vector<InternedTuple> intern_entries(
     PathTable& table, std::span<const RibEntry> entries);
-
-/// Interns legacy materialized tuples (compat path for callers that still
-/// hold PathCommunityTuple vectors).
-[[nodiscard]] std::vector<InternedTuple> intern_tuples(
-    PathTable& table, std::span<const PathCommunityTuple> tuples);
 
 }  // namespace bgpintent::bgp

@@ -23,17 +23,4 @@ void Route::canonicalize_communities() {
       ext_communities.end());
 }
 
-std::vector<PathCommunityTuple> tuples_from_entries(
-    const std::vector<RibEntry>& entries) {
-  std::size_t tuple_count = 0;
-  for (const auto& entry : entries)
-    tuple_count += entry.route.communities.size();
-  std::vector<PathCommunityTuple> tuples;
-  tuples.reserve(tuple_count);
-  for (const auto& entry : entries)
-    for (Community c : entry.route.communities)
-      tuples.push_back(PathCommunityTuple{entry.route.path, c, 1});
-  return tuples;
-}
-
 }  // namespace bgpintent::bgp

@@ -1,6 +1,7 @@
-// Route records as observed at a BGP vantage point, and the
-// (AS path, community) tuple that is the unit of input to the paper's
-// inference method (§4: "unique AS path and BGP Community tuples").
+// Route records as observed at a BGP vantage point.  The paper's unit of
+// input, the unique (AS path, community) tuple (§4), is
+// bgp::InternedTuple (bgp/path_table.hpp): a RibEntry expands into one
+// tuple per community it carries.
 #pragma once
 
 #include <cstdint>
@@ -55,23 +56,5 @@ struct RibEntry {
 
   friend bool operator==(const RibEntry&, const RibEntry&) = default;
 };
-
-/// The pipeline's unit of input.  The paper extracts unique
-/// (AS path, community) pairs from RIBs and updates; `count` tracks how
-/// many times the pair was seen (informational only — the method counts
-/// unique paths, not occurrences).
-struct PathCommunityTuple {
-  AsPath path;
-  Community community;
-  std::uint64_t count = 1;
-
-  friend bool operator==(const PathCommunityTuple&,
-                         const PathCommunityTuple&) = default;
-};
-
-/// Expands RIB entries into per-community tuples (one per (path, community)
-/// pair present on each route).
-[[nodiscard]] std::vector<PathCommunityTuple> tuples_from_entries(
-    const std::vector<RibEntry>& entries);
 
 }  // namespace bgpintent::bgp

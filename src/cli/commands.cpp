@@ -611,7 +611,7 @@ void serve_signal_handler(int) {
 int cmd_serve(int argc, char** argv) {
   const auto args = Args::parse(
       argc, argv, 2,
-      {"listen", "port", "threads", "shards", "snapshot", "snapshot-interval",
+      {"listen", "port", "shards", "snapshot", "snapshot-interval",
        "snapshot-format", "read-timeout", "gap", "threshold", "max-errors",
        "max-error-frac"},
       {"no-siblings", "mean-ratios", "tolerant", "mmap", "no-mmap",
@@ -620,15 +620,13 @@ int cmd_serve(int argc, char** argv) {
   mrt::DecodeOptions decode;
   if (!parse_decode_options(*args, decode)) return kExitUsage;
   const auto port = args->value_u64("port", kDefaultServePort, kMaxPort);
-  const auto threads = args->value_u64("threads", 0, kMaxThreads);
   const auto shards = args->value_u64("shards", 0, kMaxThreads);
   const auto interval = args->value_u64("snapshot-interval", 0, 31536000);
   const auto read_timeout =
       args->value_u64("read-timeout", 30000, 86400000);
   const auto gap = args->value_u64("gap", 140, kMaxU32);
   const auto threshold = args->value_double("threshold", 160.0);
-  if (!port || !threads || !shards || !interval || !read_timeout || !gap ||
-      !threshold)
+  if (!port || !shards || !interval || !read_timeout || !gap || !threshold)
     return 2;
   const auto snapshot_path = args->value("snapshot");
   if (*interval > 0 && !snapshot_path) {
@@ -726,7 +724,6 @@ int cmd_serve(int argc, char** argv) {
   serve::ServerConfig cfg;
   cfg.listen_address = args->value("listen").value_or("127.0.0.1");
   cfg.port = static_cast<std::uint16_t>(*port);
-  cfg.threads = static_cast<unsigned>(*threads);
   cfg.shards = static_cast<unsigned>(*shards);
   cfg.read_timeout_ms = static_cast<int>(*read_timeout);
   cfg.snapshot_interval_s = static_cast<unsigned>(*interval);
@@ -799,7 +796,7 @@ int cmd_query(int argc, char** argv) {
 int cmd_stream(int argc, char** argv) {
   const auto args = Args::parse(
       argc, argv, 2,
-      {"listen", "port", "threads", "shards", "read-timeout", "epoch-seconds",
+      {"listen", "port", "shards", "read-timeout", "epoch-seconds",
        "window-epochs", "gap", "threshold", "max-errors", "max-error-frac",
        "journal", "fsync", "checkpoint-interval", "max-segment-bytes"},
       {"serve", "no-siblings", "mean-ratios", "tolerant", "mmap", "no-mmap",
@@ -810,7 +807,6 @@ int cmd_stream(int argc, char** argv) {
   const auto mmap_mode = parse_mmap_mode(*args);
   if (!mmap_mode) return kExitUsage;
   const auto port = args->value_u64("port", kDefaultServePort, kMaxPort);
-  const auto threads = args->value_u64("threads", 0, kMaxThreads);
   const auto shards = args->value_u64("shards", 0, kMaxThreads);
   const auto read_timeout = args->value_u64("read-timeout", 30000, 86400000);
   const auto epoch_seconds = args->value_u64("epoch-seconds", 3600, kMaxU32);
@@ -820,7 +816,7 @@ int cmd_stream(int argc, char** argv) {
   const auto checkpoint_interval =
       args->value_u64("checkpoint-interval", 100000);
   const auto max_segment = args->value_u64("max-segment-bytes", 4ull << 20);
-  if (!port || !threads || !shards || !read_timeout || !epoch_seconds ||
+  if (!port || !shards || !read_timeout || !epoch_seconds ||
       !window_epochs || !gap || !threshold || !checkpoint_interval ||
       !max_segment)
     return kExitUsage;
@@ -922,7 +918,6 @@ int cmd_stream(int argc, char** argv) {
     serve::ServerConfig cfg;
     cfg.listen_address = args->value("listen").value_or("127.0.0.1");
     cfg.port = static_cast<std::uint16_t>(*port);
-    cfg.threads = static_cast<unsigned>(*threads);
     cfg.shards = static_cast<unsigned>(*shards);
     cfg.read_timeout_ms = static_cast<int>(*read_timeout);
     server.emplace(engine, cfg);

@@ -1,9 +1,8 @@
 #include "core/classifier.hpp"
 
 #include <algorithm>
-#include <numeric>
 
-#include "bgp/asn.hpp"
+#include "core/labeling.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bgpintent::core {
@@ -15,88 +14,69 @@ Intent InferenceResult::label_of(Community community) const noexcept {
 
 namespace {
 
-/// Classifies one alpha into `result`.  This is the parallel unit: an
-/// alpha's clusters, ratios, and labels depend only on that alpha's stats,
-/// so any partition of the alpha set yields the same per-alpha output.
-/// `ratio_of` maps a community's stats to its feature ratio; `decide`
-/// labels the cluster.  `beta_scratch` is a caller-owned buffer reused
-/// across alphas so the hot loop does not allocate one vector per alpha.
-template <typename RatioFn, typename DecideFn>
-void classify_alpha(const ObservationIndex& observations, std::uint16_t alpha,
-                    std::uint32_t min_gap, const RatioFn& ratio_of,
-                    const DecideFn& decide,
-                    std::vector<std::uint16_t>& beta_scratch,
-                    InferenceResult& result) {
+/// Classifies one alpha into `result` through the shared §5.2 rule.  This
+/// is the parallel unit: an alpha's clusters, ratios, and labels depend
+/// only on that alpha's stats, so any partition of the alpha set yields the
+/// same per-alpha output.  `counts` is a caller-owned buffer reused across
+/// alphas, so a classified cluster costs exactly its Cluster::betas vector.
+void classify_into(const ObservationIndex& observations, std::uint16_t alpha,
+                   const ClassifierConfig& config,
+                   std::vector<BetaCounts>& counts, InferenceResult& result) {
   const std::span<const CommunityStats> range =
       observations.alpha_range(alpha);
-  if (!bgp::is_public_asn16(alpha)) {
+  const Exclusion exclusion = label_alpha_counts(
+      alpha, [&] { return observations.alpha_on_any_path(alpha); },
+      [&] {
+        counts.clear();
+        for (const CommunityStats& stats : range)
+          counts.push_back(BetaCounts{stats.community.beta(),
+                                      stats.on_path_paths,
+                                      stats.off_path_paths});
+        return std::span<const BetaCounts>(counts);
+      },
+      config,
+      [&](const ClusterDecision& decision) {
+        ClusterInference inference;
+        inference.cluster.alpha = alpha;
+        inference.cluster.betas.reserve(decision.members.size());
+        for (const BetaCounts& member : decision.members) {
+          inference.cluster.betas.push_back(member.beta);
+          result.labels.emplace(Community(alpha, member.beta),
+                                decision.intent);
+        }
+        (decision.intent == Intent::kInformation ? result.information_count
+                                                 : result.action_count) +=
+            decision.members.size();
+        inference.mean_ratio = decision.mean_ratio;
+        inference.pooled_ratio = decision.pooled_ratio;
+        inference.pure_on = decision.pure_on;
+        inference.pure_off = decision.pure_off;
+        inference.intent = decision.intent;
+        result.clusters.push_back(std::move(inference));
+      });
+  if (exclusion == Exclusion::kPrivateAlpha)
     result.excluded_private += range.size();
-    return;
-  }
-  if (!observations.alpha_on_any_path(alpha)) {
+  else if (exclusion == Exclusion::kAlphaNeverOnPath)
     result.excluded_never_on_path += range.size();
-    return;
-  }
-  beta_scratch.clear();
-  beta_scratch.reserve(range.size());
-  for (const CommunityStats& stats : range)
-    beta_scratch.push_back(stats.community.beta());
-  // gap_cluster partitions the sorted betas in order, so the clusters'
-  // members walk `range` front to back — no per-beta binary search.
-  std::size_t next_stat = 0;
-  for (Cluster& cluster : gap_cluster(alpha, beta_scratch, min_gap)) {
-    ClusterInference inference;
-    inference.pure_on = true;
-    inference.pure_off = true;
-    std::vector<double> ratios;
-    std::size_t pooled_on = 0;
-    std::size_t pooled_off = 0;
-    for (std::size_t member = 0; member < cluster.betas.size(); ++member) {
-      const CommunityStats* stats = &range[next_stat++];
-      ratios.push_back(ratio_of(*stats));
-      pooled_on += stats->on_path_paths;
-      pooled_off += stats->off_path_paths;
-      if (!stats->pure_on()) inference.pure_on = false;
-      if (!stats->pure_off()) inference.pure_off = false;
-    }
-    inference.mean_ratio =
-        ratios.empty()
-            ? 0.0
-            : std::accumulate(ratios.begin(), ratios.end(), 0.0) /
-                  static_cast<double>(ratios.size());
-    inference.pooled_ratio =
-        static_cast<double>(pooled_on) /
-        static_cast<double>(pooled_off == 0 ? 1 : pooled_off);
-    inference.intent = decide(inference, pooled_on, pooled_off);
-    for (const std::uint16_t beta : cluster.betas) {
-      result.labels.emplace(Community(alpha, beta), inference.intent);
-      if (inference.intent == Intent::kInformation)
-        ++result.information_count;
-      else
-        ++result.action_count;
-    }
-    inference.cluster = std::move(cluster);
-    result.clusters.push_back(std::move(inference));
-  }
 }
 
-/// Shared driver for both classifiers.  Sequential when `pool` is null (or
-/// trivial); otherwise splits the sorted alpha list into contiguous chunks,
-/// classifies each chunk into a private InferenceResult on the pool, and
-/// concatenates the partial results in chunk order — which reproduces the
-/// sequential cluster order and counters exactly (see docs/THREADING.md).
-template <typename RatioFn, typename DecideFn>
-InferenceResult classify_impl(const ObservationIndex& observations,
-                              std::uint32_t min_gap, RatioFn ratio_of,
-                              DecideFn decide, util::ThreadPool* pool) {
+}  // namespace
+
+/// Sequential when `pool` is null (or trivial); otherwise splits the sorted
+/// alpha list into contiguous chunks, classifies each chunk into a private
+/// InferenceResult on the pool, and concatenates the partial results in
+/// chunk order — which reproduces the sequential cluster order and counters
+/// exactly (see docs/THREADING.md).
+InferenceResult classify(const ObservationIndex& observations,
+                         const ClassifierConfig& config,
+                         util::ThreadPool* pool) {
   const std::vector<std::uint16_t> alphas = observations.alphas();
 
   if (pool == nullptr || pool->size() <= 1 || alphas.size() < 2) {
     InferenceResult result;
-    std::vector<std::uint16_t> beta_scratch;
+    std::vector<BetaCounts> counts;
     for (const std::uint16_t alpha : alphas)
-      classify_alpha(observations, alpha, min_gap, ratio_of, decide,
-                     beta_scratch, result);
+      classify_into(observations, alpha, config, counts, result);
     return result;
   }
 
@@ -113,10 +93,9 @@ InferenceResult classify_impl(const ObservationIndex& observations,
     // before this function returns.
     parts.push_back(pool->submit([&, begin, end]() {
       InferenceResult part;
-      std::vector<std::uint16_t> beta_scratch;
+      std::vector<BetaCounts> counts;
       for (std::size_t i = begin; i < end; ++i)
-        classify_alpha(observations, alphas[i], min_gap, ratio_of, decide,
-                       beta_scratch, part);
+        classify_into(observations, alphas[i], config, counts, part);
       return part;
     }));
     begin = end;
@@ -142,40 +121,6 @@ InferenceResult classify_impl(const ObservationIndex& observations,
   }
   if (first_error) std::rethrow_exception(first_error);
   return result;
-}
-
-}  // namespace
-
-InferenceResult classify(const ObservationIndex& observations,
-                         const ClassifierConfig& config,
-                         util::ThreadPool* pool) {
-  return classify_impl(
-      observations, config.min_gap,
-      [](const CommunityStats& stats) { return stats.on_off_ratio(); },
-      [&config](const ClusterInference& inference, std::size_t /*pooled_on*/,
-                std::size_t /*pooled_off*/) {
-        if (inference.pure_on) return Intent::kInformation;
-        if (inference.pure_off) return Intent::kAction;
-        return inference.decision_ratio(config.mean_of_ratios) >=
-                       config.ratio_threshold
-                   ? Intent::kInformation
-                   : Intent::kAction;
-      },
-      pool);
-}
-
-InferenceResult classify_customer_peer(const ObservationIndex& observations,
-                                       const CustomerPeerConfig& config) {
-  return classify_impl(
-      observations, config.min_gap,
-      [](const CommunityStats& stats) { return stats.customer_peer_ratio(); },
-      [&config](const ClusterInference& inference, std::size_t /*pooled_on*/,
-                std::size_t /*pooled_off*/) {
-        return inference.mean_ratio < config.ratio_threshold
-                   ? Intent::kInformation
-                   : Intent::kAction;
-      },
-      /*pool=*/nullptr);
 }
 
 }  // namespace bgpintent::core

@@ -1,8 +1,8 @@
 // The paper's coarse-grained intent classifier (§5.2).
 //
 // For every observed AS alpha: cluster its observed betas (gap clustering),
-// compute each cluster's on-path:off-path ratio (mean of its members'
-// ratios), and label the cluster — and every community in it — as
+// compute each cluster's on-path:off-path ratio (pooled, or the mean of its
+// members' ratios), and label the cluster — and every community in it — as
 //
 //   information  if never observed off-path, or ratio >= threshold (160:1)
 //   action       if never observed on-path, or ratio < threshold
@@ -10,8 +10,11 @@
 // Exclusions (kUnclassified): alphas that are not public 16-bit ASNs, and
 // alphas that never appear in any AS path (transparent IXP route servers).
 //
-// An alternative classifier over the same clusters uses the customer:peer
-// feature the paper evaluates and rejects in Fig. 7.
+// The rule itself is core::label_alpha_counts (core/labeling.hpp), shared
+// with the incremental and sliding-window classifiers.  The customer:peer
+// feature the paper evaluates and rejects (Fig. 7) is reproduced over
+// dictionary clusters by baseline_clusters + sweep_ratio_threshold
+// (core/evaluation.hpp), not by a second classifier.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +48,8 @@ struct ClassifierConfig {
   bool mean_of_ratios = false;
 };
 
-/// Why a community was not classified.
+/// Why an alpha's communities were not classified (label_alpha_counts'
+/// result).
 enum class Exclusion : std::uint8_t {
   kNone,
   kPrivateAlpha,    ///< alpha not a public 16-bit ASN
@@ -95,17 +99,5 @@ struct InferenceResult {
 [[nodiscard]] InferenceResult classify(const ObservationIndex& observations,
                                        const ClassifierConfig& config = {},
                                        util::ThreadPool* pool = nullptr);
-
-struct CustomerPeerConfig {
-  std::uint32_t min_gap = 140;
-  /// customer:peer ratio below which a cluster is information (paper: 5:1
-  /// maximizes at ~80% accuracy).
-  double ratio_threshold = 5.0;
-};
-
-/// The rejected alternative: classify clusters by customer:peer ratio.
-/// Requires the index to have been built with a relationship dataset.
-[[nodiscard]] InferenceResult classify_customer_peer(
-    const ObservationIndex& observations, const CustomerPeerConfig& config = {});
 
 }  // namespace bgpintent::core

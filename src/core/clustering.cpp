@@ -10,9 +10,7 @@ std::vector<Cluster> gap_cluster(std::uint16_t alpha,
   current.alpha = alpha;
   for (const std::uint16_t beta : betas) {
     if (!current.betas.empty() &&
-        static_cast<std::uint32_t>(beta) -
-                static_cast<std::uint32_t>(current.betas.back()) >
-            min_gap) {
+        gap_splits(current.betas.back(), beta, min_gap)) {
       clusters.push_back(std::move(current));
       current = Cluster{};
       current.alpha = alpha;

@@ -25,8 +25,16 @@ struct Cluster {
   friend bool operator==(const Cluster&, const Cluster&) = default;
 };
 
+/// The gap rule itself: ascending neighbors `prev` < `next` fall into
+/// different clusters when (next - prev) > min_gap.
+[[nodiscard]] constexpr bool gap_splits(std::uint16_t prev, std::uint16_t next,
+                                        std::uint32_t min_gap) noexcept {
+  return static_cast<std::uint32_t>(next) - static_cast<std::uint32_t>(prev) >
+         min_gap;
+}
+
 /// Splits sorted, deduplicated `betas` into clusters: adjacent values stay
-/// together while (next - prev) <= min_gap.  Input order is preserved;
+/// together while !gap_splits(prev, next).  Input order is preserved;
 /// passing unsorted input is a precondition violation.
 [[nodiscard]] std::vector<Cluster> gap_cluster(
     std::uint16_t alpha, std::span<const std::uint16_t> betas,

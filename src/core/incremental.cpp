@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bgp/asn.hpp"
 #include "core/labeling.hpp"
 #include "core/state_view.hpp"
 #include "mrt/mrt_file.hpp"
@@ -101,21 +100,23 @@ bool IncrementalClassifier::alpha_on_any_path(std::uint16_t alpha) const {
 void IncrementalClassifier::reclassify(std::uint16_t alpha,
                                        AlphaState& state) {
   state.labels.clear();
-  if (!bgp::is_public_asn16(alpha) || !alpha_on_any_path(alpha)) return;
-
-  std::vector<BetaCounts> betas;
-  betas.reserve(state.betas.size());
-  for (const auto& [beta, acc] : state.betas)
-    betas.push_back({beta, acc.on_paths.size(), acc.off_paths.size()});
-  std::sort(betas.begin(), betas.end(),
-            [](const BetaCounts& a, const BetaCounts& b) {
-              return a.beta < b.beta;
-            });
-
-  label_alpha_counts(alpha, betas, config_,
-                     [&state](std::uint16_t beta, Intent intent) {
-                       state.labels.emplace(beta, intent);
-                     });
+  std::vector<BetaCounts> evidence;
+  label_alpha_counts(
+      alpha, [&] { return alpha_on_any_path(alpha); },
+      [&] {
+        evidence.reserve(state.betas.size());
+        for (const auto& [beta, acc] : state.betas)
+          evidence.push_back({beta, acc.on_paths.size(), acc.off_paths.size()});
+        std::sort(evidence.begin(), evidence.end(),
+                  [](const BetaCounts& a, const BetaCounts& b) {
+                    return a.beta < b.beta;
+                  });
+        return std::span<const BetaCounts>(evidence);
+      },
+      config_, [&state](const ClusterDecision& cluster) {
+        for (const BetaCounts& member : cluster.members)
+          state.labels.emplace(member.beta, cluster.intent);
+      });
 }
 
 void IncrementalClassifier::reclassify_dirty() {
@@ -154,26 +155,31 @@ void IncrementalClassifier::reclassify_view(std::uint16_t alpha) {
   labels.clear();
   const auto slot = view_->find_alpha(alpha);
   if (!slot) return;
-  if (!bgp::is_public_asn16(alpha) || !alpha_on_any_path(alpha)) return;
 
   const StateColumns& c = view_->columns();
   const std::uint32_t b0 = c.alpha_beta_begin[*slot];
   const std::uint32_t b1 = c.alpha_beta_begin[*slot + 1];
-  // beta_ids are stored sorted per alpha, so the counts come out in the
-  // order label_alpha_counts requires without materializing any sets.
-  std::vector<BetaCounts> betas;
-  betas.reserve(b1 - b0);
-  for (std::uint32_t b = b0; b < b1; ++b)
-    betas.push_back(
-        {c.beta_ids[b],
-         static_cast<std::size_t>(c.beta_on_begin[b + 1] - c.beta_on_begin[b]),
-         static_cast<std::size_t>(c.beta_off_begin[b + 1] -
-                                  c.beta_off_begin[b])});
-  label_alpha_counts(alpha, betas, config_,
-                     [&labels](std::uint16_t beta, Intent intent) {
-                       labels.emplace_back(beta, intent);
-                     });
-  std::sort(labels.begin(), labels.end());
+  std::vector<BetaCounts> evidence;
+  label_alpha_counts(
+      alpha, [&] { return alpha_on_any_path(alpha); },
+      [&] {
+        // beta_ids are stored sorted per alpha, so the counts come out in
+        // the order the rule requires without materializing any sets.
+        evidence.reserve(b1 - b0);
+        for (std::uint32_t b = b0; b < b1; ++b)
+          evidence.push_back({c.beta_ids[b],
+                              static_cast<std::size_t>(c.beta_on_begin[b + 1] -
+                                                       c.beta_on_begin[b]),
+                              static_cast<std::size_t>(c.beta_off_begin[b + 1] -
+                                                       c.beta_off_begin[b])});
+        return std::span<const BetaCounts>(evidence);
+      },
+      config_, [&labels](const ClusterDecision& cluster) {
+        // Clusters and their members arrive in ascending beta order, so
+        // the overlay comes out sorted.
+        for (const BetaCounts& member : cluster.members)
+          labels.emplace_back(member.beta, cluster.intent);
+      });
 }
 
 Intent IncrementalClassifier::label_of(Community community) {

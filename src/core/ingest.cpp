@@ -119,9 +119,11 @@ class ChunkQueue {
 
 /// Parallel strict ingest of an in-memory image: the calling thread frames
 /// zero-copy RecordViews and decodes peer tables; workers decode+intern
-/// chunks.  Mirrors read_rib_entries_parallel's strict structure
-/// (records_ok counted at framing time, body errors rethrown in chunk
-/// order).
+/// chunks.  records_ok is counted at framing time, and body errors are
+/// rethrown in chunk order: the first malformed record in stream order
+/// wins, as in the sequential decode.  Framing errors (truncated header or
+/// body, oversized record) raise immediately; PEER_INDEX_TABLE records
+/// flush the current chunk, so no chunk spans two peer tables.
 void ingest_parallel_strict_image(std::span<const std::uint8_t> data,
                                   util::ThreadPool& pool, Accumulator& acc) {
   ChunkQueue queue(pool, acc);
@@ -166,10 +168,13 @@ void ingest_parallel_strict_image(std::span<const std::uint8_t> data,
   }
 }
 
-/// Parallel tolerant ingest of an in-memory image; the tolerant twin, with
-/// the same deferred-budget drain discipline as
-/// read_rib_entries_parallel's tolerant path: a budget trip never abandons
-/// sibling chunks, and chunk reports merge in submission order.
+/// Parallel tolerant ingest of an in-memory image.  The calling thread
+/// frames with TolerantFramer (the sequential decode's resync decisions);
+/// workers capture chunk-local decode errors in their chunk's report
+/// instead of throwing, and chunk reports merge in submission order, so
+/// counters equal the sequential decode's at any pool size.  Budget trips
+/// are deferred: every in-flight chunk is drained before
+/// DecodeBudgetError is raised, so sibling chunks are never abandoned.
 void ingest_parallel_tolerant_image(std::span<const std::uint8_t> data,
                                     util::ThreadPool& pool,
                                     const mrt::DecodeOptions& options,

@@ -1,14 +1,16 @@
 // Streaming interned MRT ingest: decode -> intern -> packed tuples in one
 // pass, with no materialized RibEntry vector in between.
 //
-// The materializing pipeline (`read_rib_entries` + `intern_entries`) holds
-// every decoded row — prefix, full AsPath, every community vector — live at
-// once before collapsing them into the interned representation.  MrtIngest
-// is the streaming alternative: each decoded row flows through an
+// Materializing every decoded row (a RibEntry vector, then
+// bgp::intern_entries) holds every prefix, full AsPath and community vector
+// live at once before collapsing them into the interned representation.
+// MrtIngest streams instead: each decoded row flows through an
 // mrt::EntrySink that interns its path into one bgp::PathTable and appends
 // 8-byte (PathId, community) records, so peak memory is proportional to
 // the number of *unique* paths plus one tuple record per (row, community),
 // never to the total row count (docs/PERFORMANCE.md).
+//
+// add_parallel is the library's one chunked-parallel MRT decoder.
 //
 // Multiple sources accumulate into one table (the CLI feeds every input
 // file through one MrtIngest); DecodeReports merge across add() calls.
@@ -58,8 +60,8 @@ class MrtIngest {
   void add_parallel(const mrt::ByteSource& source, util::ThreadPool& pool);
 
   /// Parallel variant of add(istream): strict mode frames records off the
-  /// stream with owned bodies (bounded memory, like
-  /// read_rib_entries_parallel); tolerant mode buffers the stream first.
+  /// stream with owned bodies (memory bounded by the in-flight chunk cap);
+  /// tolerant mode buffers the stream first.
   void add_parallel(std::istream& in, util::ThreadPool& pool);
 
   [[nodiscard]] const bgp::PathTable& paths() const noexcept { return paths_; }

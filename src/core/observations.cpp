@@ -211,37 +211,6 @@ ObservationIndex ObservationIndex::build_parallel_interned(
   return ObservationBuilder::merge_shards(paths, tuples, shards, orgs, config);
 }
 
-ObservationIndex ObservationIndex::build(
-    std::span<const bgp::PathCommunityTuple> tuples, const topo::OrgMap* orgs,
-    const rel::RelationshipDataset* relationships,
-    const ObservationConfig& config) {
-  bgp::PathTable paths;
-  const std::vector<bgp::InternedTuple> interned =
-      bgp::intern_tuples(paths, tuples);
-  return build_interned(paths, interned, orgs, relationships, config);
-}
-
-ObservationIndex ObservationIndex::build_parallel(
-    std::span<const bgp::PathCommunityTuple> tuples, util::ThreadPool& pool,
-    const topo::OrgMap* orgs, const rel::RelationshipDataset* relationships,
-    const ObservationConfig& config) {
-  bgp::PathTable paths;
-  const std::vector<bgp::InternedTuple> interned =
-      bgp::intern_tuples(paths, tuples);
-  return build_parallel_interned(paths, interned, pool, orgs, relationships,
-                                 config);
-}
-
-ObservationIndex ObservationIndex::from_entries(
-    std::span<const bgp::RibEntry> entries, const topo::OrgMap* orgs,
-    const rel::RelationshipDataset* relationships,
-    const ObservationConfig& config) {
-  bgp::PathTable paths;
-  const std::vector<bgp::InternedTuple> tuples =
-      bgp::intern_entries(paths, entries);
-  return build_interned(paths, tuples, orgs, relationships, config);
-}
-
 const CommunityStats* ObservationIndex::find(Community community) const noexcept {
   const auto it = std::lower_bound(
       stats_.begin(), stats_.end(), community,

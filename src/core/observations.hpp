@@ -21,12 +21,15 @@
 // plain PathId vectors deduplicated by sort+unique at merge time instead
 // of per-community hash sets.
 //
-// Parallel construction (build_parallel, docs/THREADING.md): tuples are
-// sharded by `alpha % shard_count`, so every community — and with it every
-// on/off-path set and vote counter — is owned by exactly one shard and
-// accumulated without locks.  Shards see their tuples in the original
-// input order and the merge sorts stats by community, which makes the
-// parallel index identical to the sequential one for any thread count.
+// Parallel construction (build_parallel_interned, docs/THREADING.md):
+// tuples are sharded by `alpha % shard_count`, so every community — and
+// with it every on/off-path set and vote counter — is owned by exactly one
+// shard and accumulated without locks.  Shards see their tuples in the
+// original input order and the merge sorts stats by community, which makes
+// the parallel index identical to the sequential one for any thread count.
+//
+// Callers holding RIB entries intern them first (bgp::intern_entries);
+// MRT input arrives already interned through core::MrtIngest.
 #pragma once
 
 #include <cstdint>
@@ -107,28 +110,6 @@ class ObservationIndex {
   [[nodiscard]] static ObservationIndex build_parallel_interned(
       const bgp::PathTable& paths, std::span<const bgp::InternedTuple> tuples,
       util::ThreadPool& pool, const topo::OrgMap* orgs = nullptr,
-      const rel::RelationshipDataset* relationships = nullptr,
-      const ObservationConfig& config = {});
-
-  /// Compat: interns materialized tuples, then runs the interned build.
-  [[nodiscard]] static ObservationIndex build(
-      std::span<const bgp::PathCommunityTuple> tuples,
-      const topo::OrgMap* orgs = nullptr,
-      const rel::RelationshipDataset* relationships = nullptr,
-      const ObservationConfig& config = {});
-
-  /// Compat: interns materialized tuples, then runs the parallel build.
-  [[nodiscard]] static ObservationIndex build_parallel(
-      std::span<const bgp::PathCommunityTuple> tuples, util::ThreadPool& pool,
-      const topo::OrgMap* orgs = nullptr,
-      const rel::RelationshipDataset* relationships = nullptr,
-      const ObservationConfig& config = {});
-
-  /// Convenience: intern RIB entries (bgp::intern_entries — each route's
-  /// path once, one record per carried community) and build.
-  [[nodiscard]] static ObservationIndex from_entries(
-      std::span<const bgp::RibEntry> entries,
-      const topo::OrgMap* orgs = nullptr,
       const rel::RelationshipDataset* relationships = nullptr,
       const ObservationConfig& config = {});
 

@@ -30,17 +30,6 @@ PipelineResult Pipeline::run_interned(
   return result;
 }
 
-PipelineResult Pipeline::run(
-    std::span<const bgp::PathCommunityTuple> tuples) const {
-  bgp::PathTable paths;
-  const std::vector<bgp::InternedTuple> interned =
-      bgp::intern_tuples(paths, tuples);
-  if (util::ThreadPool::resolve(config_.threads) <= 1)
-    return run_interned(paths, interned, nullptr);
-  util::ThreadPool pool(config_.threads);
-  return run_interned(paths, interned, &pool);
-}
-
 PipelineResult Pipeline::run(std::span<const bgp::RibEntry> entries) const {
   bgp::PathTable paths;
   const std::vector<bgp::InternedTuple> tuples =

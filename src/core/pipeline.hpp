@@ -1,5 +1,5 @@
-// End-to-end inference pipeline: BGP data in (RIB entries, tuples, or MRT
-// streams), coarse-grained intent labels out.  This is the library's main
+// End-to-end inference pipeline: BGP data in (RIB entries or MRT streams),
+// coarse-grained intent labels out.  This is the library's main
 // entry point — the programmatic equivalent of running the paper's released
 // tool over one week of RouteViews/RIS data.
 //
@@ -48,7 +48,7 @@ struct PipelineResult {
   mrt::DecodeReport decode_report;
   /// RIB rows that flowed into the run: decoded rows for the MRT entry
   /// points (including rows without communities), entries.size() for the
-  /// RibEntry one, zero for the pre-extracted-tuple one.
+  /// RibEntry one.
   std::size_t entries_ingested = 0;
 
   [[nodiscard]] Evaluation score(const dict::DictionaryStore& truth) const {
@@ -71,10 +71,6 @@ class Pipeline {
   [[nodiscard]] const PipelineConfig& config() const noexcept {
     return config_;
   }
-
-  /// Runs over pre-extracted tuples.
-  [[nodiscard]] PipelineResult run(
-      std::span<const bgp::PathCommunityTuple> tuples) const;
 
   /// Runs over RIB entries.
   [[nodiscard]] PipelineResult run(

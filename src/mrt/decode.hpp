@@ -26,7 +26,8 @@ enum class DecodeMode : std::uint8_t {
   kTolerant,  ///< skip + resync around malformed records, within budget
 };
 
-/// Knobs for read_rib_entries / read_rib_entries_parallel.
+/// Knobs for mrt::decode_rib_stream and core::MrtIngest (sequential and
+/// parallel).
 struct DecodeOptions {
   DecodeMode mode = DecodeMode::kStrict;
   /// Tolerant mode: hard-fail once more than this many records were

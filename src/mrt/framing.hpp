@@ -3,11 +3,10 @@
 // This is the layer underneath mrt_file.hpp's entry points: records are
 // framed as zero-copy views into a stable byte image (RecordView carries a
 // span, never an owned body), and each data record is decoded into one
-// reused scratch row that is handed to an EntrySink.  The materializing
-// readers (read_rib_entries*) are a sink that appends to a vector; the
-// streaming ingest path (core::MrtIngest, docs/PERFORMANCE.md) is a sink
-// that interns the path and appends a packed 8-byte tuple — both share the
-// framers and decode units here, so they cannot diverge.
+// reused scratch row that is handed to an EntrySink.  The sequential
+// decode (mrt::decode_rib_stream) and the chunked-parallel one
+// (core::MrtIngest::add_parallel, docs/PERFORMANCE.md) share the framers
+// and decode units here, so they cannot diverge.
 //
 // Two framers cover the two failure models:
 //
@@ -44,11 +43,9 @@ inline constexpr std::uint16_t kSubtypeTableDumpIpv4 = 1;
 /// Sanity bound on one record body, 16 MiB.
 inline constexpr std::size_t kMaxRecordSize = 1 << 24;
 
-/// Records per decode task in the parallel readers and the parallel
-/// streaming ingest: large enough to amortize scheduling, small enough to
-/// keep all workers busy on typical RIB chunk sizes.  One shared constant
-/// so chunk boundaries (and hence tolerant merge order) do not depend on
-/// which path framed the stream.
+/// Records per decode task in the parallel ingest
+/// (core::MrtIngest::add_parallel): large enough to amortize scheduling,
+/// small enough to keep all workers busy on typical RIB chunk sizes.
 inline constexpr std::size_t kChunkRecords = 64;
 
 /// One framed MRT record: header fields plus a borrowed view of the body.

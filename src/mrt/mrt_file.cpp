@@ -1,13 +1,9 @@
 #include "mrt/mrt_file.hpp"
 
 #include "bgp/asn.hpp"
-#include "util/thread_pool.hpp"
 
-#include <deque>
-#include <future>
 #include <istream>
 #include <map>
-#include <memory>
 #include <ostream>
 
 namespace bgpintent::mrt {
@@ -272,25 +268,6 @@ bool MrtReader::next_view(RecordView& record) {
 
 namespace {
 
-/// The materializing sink: appends each scratch row to a vector, exactly
-/// what the historical readers produced (one RibEntry allocation per row).
-class VectorSink final : public EntrySink {
- public:
-  explicit VectorSink(std::vector<bgp::RibEntry>& out) noexcept : out_(&out) {}
-
-  void on_entry(bgp::RibEntry& entry) override {
-    out_->push_back(std::move(entry));
-  }
-
- private:
-  std::vector<bgp::RibEntry>* out_;
-};
-
-[[nodiscard]] RecordView as_view(const MrtRecord& record) noexcept {
-  return RecordView{record.timestamp, record.type, record.subtype,
-                    record.body};
-}
-
 /// Strict decode of one istream, record by record through the reader's
 /// scratch body — bounded memory regardless of stream length.
 void decode_strict_stream(std::istream& in, EntrySink& sink,
@@ -326,8 +303,8 @@ void decode_strict_image(std::span<const std::uint8_t> data, EntrySink& sink,
 }
 
 /// Tolerant decode of one in-memory image.  Rows decoded before a
-/// mid-record failure stay emitted (matching the historical materializing
-/// reader, which appended as it went).
+/// mid-record failure stay emitted: the sink sees each row as soon as it
+/// is decoded.
 void decode_tolerant_image(std::span<const std::uint8_t> data, EntrySink& sink,
                            const DecodeOptions& options, DecodeReport& report) {
   std::vector<bgp::VantagePointId> peer_table;
@@ -357,223 +334,7 @@ void decode_image(std::span<const std::uint8_t> data, EntrySink& sink,
     decode_strict_image(data, sink, report);
 }
 
-/// Tolerant twin of the strict parallel reader below: the calling thread
-/// frames with TolerantFramer (identical resync decisions to the
-/// sequential tolerant reader), workers decode chunks into chunk-local
-/// {entries, report} pairs and never throw, and chunk reports merge into
-/// `report` in submission order.  On a budget trip every in-flight chunk
-/// is drained before DecodeBudgetError is raised, so sibling futures are
-/// never abandoned and the final report is complete.
-///
-/// Framed bodies are zero-copy views into `data`, which must stay alive
-/// until this returns (it always drains in-flight chunks before then).
-std::vector<bgp::RibEntry> read_rib_entries_parallel_tolerant(
-    std::span<const std::uint8_t> data, util::ThreadPool& pool,
-    const DecodeOptions& options, DecodeReport& report) {
-  struct ChunkOutcome {
-    std::vector<bgp::RibEntry> entries;
-    DecodeReport report;
-  };
-  const std::size_t max_in_flight =
-      static_cast<std::size_t>(pool.size()) * 2 + 2;
-
-  std::vector<bgp::RibEntry> entries;
-  std::deque<std::future<ChunkOutcome>> in_flight;
-  auto peers = std::make_shared<const std::vector<bgp::VantagePointId>>();
-  // Budget trips are deferred: the throw happens only after the drain
-  // below, never while futures are still in flight.
-  bool budget_tripped = false;
-
-  auto drain_front = [&]() {
-    ChunkOutcome outcome = in_flight.front().get();
-    in_flight.pop_front();
-    entries.insert(entries.end(),
-                   std::make_move_iterator(outcome.entries.begin()),
-                   std::make_move_iterator(outcome.entries.end()));
-    report.merge(outcome.report);
-    if (report.over_budget(options)) budget_tripped = true;
-  };
-  auto submit_chunk = [&](std::vector<TolerantFramer::Framed>&& frames) {
-    in_flight.push_back(
-        pool.submit([frames = std::move(frames), snapshot = peers]() {
-          ChunkOutcome outcome;
-          VectorSink sink(outcome.entries);
-          RowScratch scratch;
-          for (const TolerantFramer::Framed& framed : frames) {
-            try {
-              decode_data_record(framed.record, *snapshot, sink, scratch);
-              ++outcome.report.records_ok;
-            } catch (const MrtError& error) {
-              record_body_failure(outcome.report, framed, error.what());
-            }
-          }
-          return outcome;
-        }));
-    while (in_flight.size() >= max_in_flight) drain_front();
-  };
-
-  TolerantFramer framer(data, options, report);
-  std::vector<TolerantFramer::Framed> batch;
-  try {
-    TolerantFramer::Framed framed;
-    while (!budget_tripped && framer.next(framed)) {
-      if (is_peer_index_table(framed.record)) {
-        if (!batch.empty()) {
-          submit_chunk(std::move(batch));
-          batch = {};
-        }
-        try {
-          peers = std::make_shared<const std::vector<bgp::VantagePointId>>(
-              decode_peer_index_table(framed.record));
-          ++report.records_ok;
-        } catch (const MrtError& error) {
-          // Keep the previous peer-table snapshot, exactly as the
-          // sequential tolerant reader does.
-          record_body_failure(report, framed, error.what());
-          if (report.over_budget(options)) budget_tripped = true;
-        }
-        continue;
-      }
-      batch.push_back(framed);
-      if (batch.size() >= kChunkRecords) {
-        submit_chunk(std::move(batch));
-        batch = {};
-      }
-    }
-  } catch (const DecodeBudgetError&) {
-    // Framing-side budget trip; the shared report already reflects it.
-    budget_tripped = true;
-  }
-  if (!budget_tripped && !batch.empty()) submit_chunk(std::move(batch));
-  while (!in_flight.empty()) drain_front();
-  if (budget_tripped) throw_budget(report);
-  check_final_budget(report, options);
-  return entries;
-}
-
-std::vector<bgp::RibEntry> read_rib_entries_parallel_strict(
-    std::istream& in, util::ThreadPool& pool, DecodeReport& report) {
-  const std::size_t max_in_flight =
-      static_cast<std::size_t>(pool.size()) * 2 + 2;
-
-  std::vector<bgp::RibEntry> entries;
-  // The bounded queue: completed-or-running decode tasks in submission
-  // order.  Draining the front blocks until that chunk is decoded (and
-  // rethrows its MrtError, preserving chunk order for errors).
-  std::deque<std::future<std::vector<bgp::RibEntry>>> in_flight;
-  auto peers = std::make_shared<const std::vector<bgp::VantagePointId>>();
-
-  auto drain_front = [&entries, &in_flight]() {
-    std::vector<bgp::RibEntry> decoded = in_flight.front().get();
-    in_flight.pop_front();
-    entries.insert(entries.end(), std::make_move_iterator(decoded.begin()),
-                   std::make_move_iterator(decoded.end()));
-  };
-  auto submit_chunk = [&](std::vector<MrtRecord>&& records) {
-    // The task owns its records and peer-table snapshot outright, so it
-    // stays valid even if this function throws and abandons the future.
-    in_flight.push_back(
-        pool.submit([records = std::move(records), snapshot = peers]() {
-          std::vector<bgp::RibEntry> decoded;
-          VectorSink sink(decoded);
-          RowScratch scratch;
-          for (const MrtRecord& record : records)
-            decode_data_record(as_view(record), *snapshot, sink, scratch);
-          return decoded;
-        }));
-    while (in_flight.size() >= max_in_flight) drain_front();
-  };
-
-  MrtReader reader(in);
-  MrtRecord record;
-  std::vector<MrtRecord> batch;
-  while (reader.next(record)) {
-    ++report.records_ok;
-    if (is_peer_index_table(record.type, record.subtype)) {
-      // Peer-table switch: flush so no chunk spans two tables, then
-      // publish a fresh immutable snapshot for subsequent chunks.
-      if (!batch.empty()) {
-        submit_chunk(std::move(batch));
-        batch = {};
-      }
-      peers = std::make_shared<const std::vector<bgp::VantagePointId>>(
-          decode_peer_index_table(as_view(record)));
-      continue;
-    }
-    batch.push_back(std::move(record));
-    record = {};
-    if (batch.size() >= kChunkRecords) {
-      submit_chunk(std::move(batch));
-      batch = {};
-    }
-  }
-  if (!batch.empty()) submit_chunk(std::move(batch));
-  while (!in_flight.empty()) drain_front();
-  return entries;
-}
-
 }  // namespace
-
-std::vector<bgp::RibEntry> read_rib_entries(std::istream& in) {
-  return read_rib_entries(in, DecodeOptions{});
-}
-
-std::vector<bgp::RibEntry> read_rib_entries(std::istream& in,
-                                            const DecodeOptions& options,
-                                            DecodeReport* report) {
-  std::vector<bgp::RibEntry> entries;
-  VectorSink sink(entries);
-  decode_rib_stream(in, sink, options, report);
-  return entries;
-}
-
-std::vector<bgp::RibEntry> read_rib_entries_parallel(std::istream& in,
-                                                     util::ThreadPool& pool) {
-  return read_rib_entries_parallel(in, pool, DecodeOptions{});
-}
-
-std::vector<bgp::RibEntry> read_rib_entries_parallel(std::istream& in,
-                                                     util::ThreadPool& pool,
-                                                     const DecodeOptions& options,
-                                                     DecodeReport* report) {
-  DecodeReport local;
-  try {
-    std::vector<bgp::RibEntry> entries;
-    if (options.tolerant()) {
-      const std::vector<std::uint8_t> bytes = slurp_stream(in);
-      entries = read_rib_entries_parallel_tolerant(bytes, pool, options, local);
-    } else {
-      entries = read_rib_entries_parallel_strict(in, pool, local);
-    }
-    if (report) *report = std::move(local);
-    return entries;
-  } catch (...) {
-    if (report) *report = std::move(local);
-    throw;
-  }
-}
-
-std::vector<bgp::RibEntry> read_rib_entries(
-    const std::vector<std::uint8_t>& bytes) {
-  return read_rib_entries(std::span<const std::uint8_t>(bytes),
-                          DecodeOptions{});
-}
-
-std::vector<bgp::RibEntry> read_rib_entries(std::span<const std::uint8_t> bytes,
-                                            const DecodeOptions& options,
-                                            DecodeReport* report) {
-  std::vector<bgp::RibEntry> entries;
-  VectorSink sink(entries);
-  DecodeReport local;
-  try {
-    decode_image(bytes, sink, options, local);
-    if (report) *report = std::move(local);
-    return entries;
-  } catch (...) {
-    if (report) *report = std::move(local);
-    throw;
-  }
-}
 
 void decode_rib_stream(const ByteSource& source, EntrySink& sink,
                        const DecodeOptions& options, DecodeReport* report) {

@@ -22,10 +22,6 @@
 #include "mrt/framing.hpp"
 #include "mrt/source.hpp"
 
-namespace bgpintent::util {
-class ThreadPool;
-}
-
 namespace bgpintent::mrt {
 
 /// One raw MRT record (header fields + undecoded body).
@@ -104,68 +100,21 @@ class MrtReader {
   std::vector<std::uint8_t> scratch_;
 };
 
-/// Reads a whole MRT stream back into RIB entries: RIB snapshot records are
-/// joined with their PEER_INDEX_TABLE; BGP4MP updates contribute one entry
-/// per announced prefix.  Unknown record types are skipped.
+/// Decodes a whole MRT stream, handing every RIB row to `sink` (one reused
+/// scratch row, stream order) without materializing a RibEntry vector:
+/// RIB snapshot records are joined with their PEER_INDEX_TABLE; BGP4MP
+/// updates contribute one row per announced prefix.  Unknown record types
+/// are skipped.  This is the entry point behind core::MrtIngest and the
+/// incremental classifier's MRT ingest (docs/PERFORMANCE.md); record
+/// bodies are parsed as zero-copy views into the source image.
 ///
 /// Strict mode (the default DecodeOptions) throws MrtError on the first
 /// malformed record.  Tolerant mode skips malformed records, resynchronizes
 /// on the next plausible header, and throws DecodeBudgetError only when the
-/// error budget is exceeded; tolerant input is buffered in memory so the
-/// resync scan can look backward-free at arbitrary offsets
-/// (docs/ROBUSTNESS.md).  When `report` is non-null it receives the decode
-/// outcome — also on throw, so diagnostics survive hard failures.
-[[nodiscard]] std::vector<bgp::RibEntry> read_rib_entries(std::istream& in);
-[[nodiscard]] std::vector<bgp::RibEntry> read_rib_entries(
-    std::istream& in, const DecodeOptions& options,
-    DecodeReport* report = nullptr);
-
-/// Convenience: decode the records of one in-memory MRT body.
-[[nodiscard]] std::vector<bgp::RibEntry> read_rib_entries(
-    const std::vector<std::uint8_t>& bytes);
-[[nodiscard]] std::vector<bgp::RibEntry> read_rib_entries(
-    std::span<const std::uint8_t> bytes, const DecodeOptions& options,
-    DecodeReport* report = nullptr);
-
-/// Parallel variant of read_rib_entries: the caller's thread sequentially
-/// frames records off the stream (record lengths are data-dependent, so
-/// framing cannot be split) and batches them into chunks; chunk *decoding*
-/// — the attribute/NLRI parsing that dominates ingest cost — runs on
-/// `pool`.  In-flight chunks are bounded at ~2x the pool size, so memory
-/// stays proportional to the pool, never to the file.  Results concatenate
-/// in chunk submission order and are identical to the sequential reader's.
-///
-/// PEER_INDEX_TABLE records are decoded inline by the framing thread
-/// (rare, cheap); each chunk carries an immutable snapshot of the peer
-/// table in force when its records were framed.
-///
-/// Errors (strict mode): malformed record bodies raise mrt::MrtError out of
-/// this call in chunk order; framing errors (truncated header/body,
-/// oversized record) raise immediately.  Abandoned in-flight chunks
-/// self-contain their data, so an early throw cannot deadlock or leave
-/// dangling references.
-///
-/// Tolerant mode buffers the stream, frames with the same resync scanner as
-/// the sequential tolerant reader, and captures chunk-local decode errors
-/// inside each chunk's result instead of throwing — a poisoned chunk never
-/// abandons its sibling futures.  Chunk reports merge into `report` in
-/// submission order, so entries and counters are identical to the
-/// sequential tolerant reader's at any pool size.  When the error budget
-/// trips, every in-flight chunk is drained before DecodeBudgetError is
-/// raised.
-[[nodiscard]] std::vector<bgp::RibEntry> read_rib_entries_parallel(
-    std::istream& in, util::ThreadPool& pool);
-[[nodiscard]] std::vector<bgp::RibEntry> read_rib_entries_parallel(
-    std::istream& in, util::ThreadPool& pool, const DecodeOptions& options,
-    DecodeReport* report = nullptr);
-
-/// Streaming decode: hands every decoded entry to `sink` (one reused
-/// scratch row, stream order) without materializing a RibEntry vector —
-/// the entry point behind core::MrtIngest and the incremental classifier's
-/// MRT ingest (docs/PERFORMANCE.md).  Record bodies are parsed as
-/// zero-copy views into the source image.  Strict/tolerant semantics,
-/// error budgets, and the DecodeReport outcome (also written on throw)
-/// match read_rib_entries exactly.
+/// error budget is exceeded (docs/ROBUSTNESS.md).  When `report` is
+/// non-null it receives the decode outcome — also on throw, so diagnostics
+/// survive hard failures.  The chunked-parallel decoder is
+/// core::MrtIngest::add_parallel.
 void decode_rib_stream(const ByteSource& source, EntrySink& sink,
                        const DecodeOptions& options = {},
                        DecodeReport* report = nullptr);

@@ -138,7 +138,7 @@ Server::~Server() {
 }
 
 void Server::start() {
-  unsigned n = config_.shards != 0 ? config_.shards : config_.threads;
+  unsigned n = config_.shards;
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   n = std::min(n, 64u);
 

@@ -79,12 +79,8 @@ struct ServerConfig {
   std::string listen_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (query it back via port()).
   std::uint16_t port = 0;
-  /// Event-loop shards (0 = one per core).  `threads` below is honored as
-  /// a legacy alias when `shards` is 0 — the old thread-pool knob maps
-  /// onto the shard count, which plays the same capacity role.
+  /// Event-loop shards (0 = one per core).
   unsigned shards = 0;
-  /// Legacy knob (pre-shard daemon): connection worker threads.
-  unsigned threads = 0;
   /// Close a connection after this long without a complete request line.
   int read_timeout_ms = 30000;
   /// Write a snapshot to `snapshot_path` every this many seconds (0 = only

@@ -169,28 +169,30 @@ bool WindowClassifier::alpha_on_any_path(std::uint16_t alpha) const {
   return false;
 }
 
-void WindowClassifier::reclassify_alpha(std::uint16_t alpha,
-                                        AlphaCounts& counts,
-                                        std::vector<LabelChange>& out) {
+void WindowClassifier::relabel_alpha(std::uint16_t alpha, AlphaCounts& counts,
+                                     std::vector<LabelChange>& out) {
   reclassified_communities_ += counts.betas.size();
 
   std::unordered_map<std::uint16_t, Intent> previous;
   previous.swap(counts.labels);
 
-  if (bgp::is_public_asn16(alpha) && alpha_on_any_path(alpha)) {
-    std::vector<core::BetaCounts> betas;
-    betas.reserve(counts.betas.size());
-    for (const auto& [beta, on_off] : counts.betas)
-      betas.push_back({beta, on_off.on, on_off.off});
-    std::sort(betas.begin(), betas.end(),
-              [](const core::BetaCounts& a, const core::BetaCounts& b) {
-                return a.beta < b.beta;
-              });
-    core::label_alpha_counts(alpha, betas, config_.classifier,
-                             [&counts](std::uint16_t beta, Intent intent) {
-                               counts.labels.emplace(beta, intent);
-                             });
-  }
+  std::vector<core::BetaCounts> evidence;
+  core::label_alpha_counts(
+      alpha, [&] { return alpha_on_any_path(alpha); },
+      [&] {
+        evidence.reserve(counts.betas.size());
+        for (const auto& [beta, on_off] : counts.betas)
+          evidence.push_back({beta, on_off.on, on_off.off});
+        std::sort(evidence.begin(), evidence.end(),
+                  [](const core::BetaCounts& a, const core::BetaCounts& b) {
+                    return a.beta < b.beta;
+                  });
+        return std::span<const core::BetaCounts>(evidence);
+      },
+      config_.classifier, [&counts](const core::ClusterDecision& cluster) {
+        for (const core::BetaCounts& member : cluster.members)
+          counts.labels.emplace(member.beta, cluster.intent);
+      });
 
   // Diff previous vs. current labels in ascending beta order.
   std::vector<std::uint16_t> betas;
@@ -231,7 +233,7 @@ std::vector<LabelChange> WindowClassifier::reclassify_dirty() {
                                       Intent::kUnclassified, current_epoch_});
       continue;
     }
-    reclassify_alpha(alpha, it->second, changes);
+    relabel_alpha(alpha, it->second, changes);
   }
   dirty_.clear();
   return changes;

@@ -9,8 +9,8 @@
 // ASN-on-path universe, the alpha dirty set — is maintained by refcounts
 // on the 0<->1 transitions of those deltas.  Reclassification runs only
 // over dirty alphas (communities whose cluster counts changed, or whose
-// never-on-path exclusion flipped), through the same
-// core::label_alpha_counts unit the batch classifier uses.
+// never-on-path exclusion flipped), through core::label_alpha_counts: the
+// one §5.2 rule, exclusions included, that batch core::classify() runs.
 //
 // The invariant the property suite enforces (tests/property/
 // stream_window_test.cpp): at any point, labels() is bit-identical to a
@@ -249,8 +249,8 @@ class WindowClassifier {
   [[nodiscard]] bool alpha_on_any_path(std::uint16_t alpha) const;
 
   /// Relabels one alpha into `counts.labels`, appending transitions.
-  void reclassify_alpha(std::uint16_t alpha, AlphaCounts& counts,
-                        std::vector<LabelChange>& out);
+  void relabel_alpha(std::uint16_t alpha, AlphaCounts& counts,
+                     std::vector<LabelChange>& out);
 
   WindowConfig config_;
   const topo::OrgMap* orgs_ = nullptr;

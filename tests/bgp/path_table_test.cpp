@@ -143,24 +143,6 @@ TEST(InternEntries, ExpandsEachCommunityAndSkipsBareRoutes) {
   EXPECT_EQ(tuples[2].community, Community(174, 300));
 }
 
-TEST(InternTuples, SharesPathsAcrossTuples) {
-  std::vector<PathCommunityTuple> tuples(3);
-  tuples[0].path = seq({701, 1299});
-  tuples[0].community = Community(1299, 100);
-  tuples[1].path = seq({701, 1299});
-  tuples[1].community = Community(1299, 200);
-  tuples[2].path = seq({701, 174});
-  tuples[2].community = Community(1299, 100);
-
-  PathTable table;
-  const std::vector<InternedTuple> interned = intern_tuples(table, tuples);
-  ASSERT_EQ(interned.size(), 3u);
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(interned[0].path, interned[1].path);
-  EXPECT_NE(interned[0].path, interned[2].path);
-  EXPECT_EQ(interned[1].community, Community(1299, 200));
-}
-
 TEST(PathTable, InternSequenceMatchesAsPathInterning) {
   // intern_sequence must land in the same slot (same id, same hash) as
   // interning the equivalent single-sequence AsPath — the simulator's

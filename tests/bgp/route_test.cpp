@@ -39,34 +39,6 @@ TEST(Route, EqualityIsStructural) {
   EXPECT_NE(make_route(), other);
 }
 
-TEST(TuplesFromEntries, OneTuplePerCommunity) {
-  RibEntry entry;
-  entry.vantage_point = {65000, 0x0a000001};
-  entry.route = make_route();
-  const auto tuples = tuples_from_entries({entry});
-  ASSERT_EQ(tuples.size(), 2u);
-  EXPECT_EQ(tuples[0].path, entry.route.path);
-  EXPECT_EQ(tuples[0].community, Community(1299, 35130));
-  EXPECT_EQ(tuples[1].community, Community(1299, 2569));
-}
-
-TEST(TuplesFromEntries, EmptyCommunitiesYieldNothing) {
-  RibEntry entry;
-  entry.route = make_route();
-  entry.route.communities.clear();
-  EXPECT_TRUE(tuples_from_entries({entry}).empty());
-}
-
-TEST(TuplesFromEntries, MultipleEntries) {
-  RibEntry a;
-  a.route = make_route();
-  RibEntry b;
-  b.route = make_route();
-  b.route.path = AsPath({7018, 64496});
-  const auto tuples = tuples_from_entries({a, b});
-  EXPECT_EQ(tuples.size(), 4u);
-}
-
 TEST(VantagePointId, Ordering) {
   const VantagePointId a{65000, 1};
   const VantagePointId b{65000, 2};

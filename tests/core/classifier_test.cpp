@@ -2,31 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include "core/labeling.hpp"
+#include "support/observations.hpp"
+
 namespace bgpintent::core {
 namespace {
 
-using bgp::AsPath;
-using bgp::PathCommunityTuple;
-
-PathCommunityTuple tuple(std::vector<Asn> path, Community community) {
-  return PathCommunityTuple{AsPath(std::move(path)), community, 1};
-}
+using test_support::index_of;
+using test_support::observed;
 
 /// N distinct on-path and M distinct off-path tuples for `community`.
-void add_observations(std::vector<PathCommunityTuple>& tuples,
+void add_observations(std::vector<bgp::RibEntry>& tuples,
                       Community community, std::size_t on, std::size_t off) {
   for (std::size_t i = 0; i < on; ++i)
-    tuples.push_back(tuple({static_cast<Asn>(60000 + i),
-                            community.alpha(), 64496},
-                           community));
+    tuples.push_back(observed({static_cast<Asn>(60000 + i),
+                               community.alpha(), 64496},
+                              community));
   for (std::size_t i = 0; i < off; ++i)
-    tuples.push_back(tuple({static_cast<Asn>(61000 + i), 64496}, community));
+    tuples.push_back(observed({static_cast<Asn>(61000 + i), 64496}, community));
 }
 
 TEST(Classifier, PureOnPathClusterIsInformation) {
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(1299, 20000), 5, 0);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto result = classify(index);
   EXPECT_EQ(result.label_of(Community(1299, 20000)), Intent::kInformation);
   EXPECT_EQ(result.information_count, 1u);
@@ -36,37 +35,37 @@ TEST(Classifier, PureOnPathClusterIsInformation) {
 }
 
 TEST(Classifier, PureOffPathClusterIsAction) {
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(1299, 2569), 0, 4);
   // Alpha 1299 must appear somewhere (else the AS is excluded entirely);
   // give it an unrelated info community observed on-path.
   add_observations(tuples, Community(1299, 20000), 3, 0);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto result = classify(index);
   EXPECT_EQ(result.label_of(Community(1299, 2569)), Intent::kAction);
   EXPECT_EQ(result.label_of(Community(1299, 20000)), Intent::kInformation);
 }
 
 TEST(Classifier, ThresholdSeparatesMixedClusters) {
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   // ratio 200 (>=160) -> information.
   add_observations(tuples, Community(100, 1000), 200, 1);
   // ratio 2 (<160) -> action; far away so it forms its own cluster.
   add_observations(tuples, Community(100, 5000), 2, 1);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto result = classify(index);
   EXPECT_EQ(result.label_of(Community(100, 1000)), Intent::kInformation);
   EXPECT_EQ(result.label_of(Community(100, 5000)), Intent::kAction);
 }
 
 TEST(Classifier, ClusterLabelAppliesToAllMembers) {
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   // Two nearby betas: one strongly on-path, one weakly observed off-path
   // once.  Clustered together, the mean ratio dominates and both get the
   // same label.
   add_observations(tuples, Community(100, 1000), 400, 0);
   add_observations(tuples, Community(100, 1001), 400, 1);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto result = classify(index);
   EXPECT_EQ(result.label_of(Community(100, 1000)), Intent::kInformation);
   EXPECT_EQ(result.label_of(Community(100, 1001)), Intent::kInformation);
@@ -78,11 +77,11 @@ TEST(Classifier, ClusteringRescuesSparseMember) {
   // A lone action community observed once on-path would look informational
   // in isolation; clustered with its strongly off-path neighbors it is
   // correctly labeled action (the argument of Fig. 9).
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(100, 2000), 1, 0);   // sparse member
   add_observations(tuples, Community(100, 2010), 1, 50);  // strong action
   add_observations(tuples, Community(100, 2020), 1, 50);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
 
   const auto clustered = classify(index, ClassifierConfig{140, 160.0, true});
   EXPECT_EQ(clustered.label_of(Community(100, 2000)), Intent::kAction);
@@ -92,11 +91,11 @@ TEST(Classifier, ClusteringRescuesSparseMember) {
 }
 
 TEST(Classifier, PrivateAlphaExcluded) {
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(64512, 100), 5, 0);   // private
   add_observations(tuples, Community(65535, 666), 5, 0);   // reserved
   add_observations(tuples, Community(64496, 100), 5, 0);   // documentation
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto result = classify(index);
   EXPECT_EQ(result.label_of(Community(64512, 100)), Intent::kUnclassified);
   EXPECT_EQ(result.label_of(Community(65535, 666)), Intent::kUnclassified);
@@ -107,10 +106,10 @@ TEST(Classifier, PrivateAlphaExcluded) {
 
 TEST(Classifier, NeverOnPathAlphaExcluded) {
   // Route-server communities: alpha 60000 never appears in any path.
-  std::vector<PathCommunityTuple> tuples;
-  tuples.push_back(tuple({701, 1299, 64496}, Community(60000, 20000)));
-  tuples.push_back(tuple({702, 1299, 64496}, Community(60000, 20001)));
-  const auto index = ObservationIndex::build(tuples);
+  std::vector<bgp::RibEntry> tuples;
+  tuples.push_back(observed({701, 1299, 64496}, Community(60000, 20000)));
+  tuples.push_back(observed({702, 1299, 64496}, Community(60000, 20001)));
+  const auto index = index_of(tuples);
   const auto result = classify(index);
   EXPECT_EQ(result.label_of(Community(60000, 20000)), Intent::kUnclassified);
   EXPECT_EQ(result.excluded_never_on_path, 2u);
@@ -120,10 +119,10 @@ TEST(Classifier, SiblingPresenceLiftsExclusion) {
   topo::OrgMap orgs;
   orgs.assign(1299, 1);
   orgs.assign(1300, 1);
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   // Alpha 1299 itself never on a path, but sibling 1300 is.
-  tuples.push_back(tuple({701, 1300, 64496}, Community(1299, 20000)));
-  const auto index = ObservationIndex::build(tuples, &orgs);
+  tuples.push_back(observed({701, 1300, 64496}, Community(1299, 20000)));
+  const auto index = index_of(tuples, &orgs);
   const auto result = classify(index);
   EXPECT_EQ(result.label_of(Community(1299, 20000)), Intent::kInformation);
   EXPECT_EQ(result.excluded_never_on_path, 0u);
@@ -138,10 +137,10 @@ TEST(Classifier, MeanVersusPooledAblation) {
   // A: 10 on / 10 off (ratio 1), B: 3190 on / 10 off (ratio 319):
   // mean = 160 -> info; pooled = 3200/20 = 160 -> info. Equal here, so
   // instead verify both modes run and agree on unambiguous data.
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(100, 1000), 300, 1);
   add_observations(tuples, Community(100, 1001), 2, 1);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto mean_mode = classify(index, ClassifierConfig{140, 160.0, true});
   const auto pooled_mode =
       classify(index, ClassifierConfig{140, 160.0, false});
@@ -157,10 +156,10 @@ TEST(Classifier, MeanAndPooledCanDisagree) {
   // Make pooled fall below threshold: A: 1 on / 1000 off, B: 600 on / 1 off.
   // Mean = (0.001 + 600)/2 = 300 -> information.
   // Pooled = 601 / 1001 = 0.6 -> action.
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(100, 1000), 1, 1000);
   add_observations(tuples, Community(100, 1001), 600, 1);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto mean_mode = classify(index, ClassifierConfig{140, 160.0, true});
   const auto pooled_mode =
       classify(index, ClassifierConfig{140, 160.0, false});
@@ -169,28 +168,75 @@ TEST(Classifier, MeanAndPooledCanDisagree) {
 }
 
 TEST(Classifier, EmptyIndex) {
-  const auto index = ObservationIndex::build({});
+  const auto index = index_of({});
   const auto result = classify(index);
   EXPECT_TRUE(result.clusters.empty());
   EXPECT_EQ(result.classified_count(), 0u);
 }
 
-TEST(ClassifierCustomerPeer, HighCustomerRatioIsAction) {
-  rel::RelationshipDataset rels;
-  rels.set_p2c(100, 64496);
-  rels.set_p2p(100, 7018);
-  std::vector<PathCommunityTuple> tuples;
-  // Action-like: alpha followed by customer on 6 distinct paths.
-  for (Asn vp = 60000; vp < 60006; ++vp)
-    tuples.push_back(tuple({vp, 100, 64496}, Community(100, 1000)));
-  // Info-like: alpha followed by peer on most paths.
-  for (Asn vp = 61000; vp < 61005; ++vp)
-    tuples.push_back(tuple({vp, 100, 7018, 64496}, Community(100, 5000)));
-  tuples.push_back(tuple({61999, 100, 64496}, Community(100, 5000)));
-  const auto index = ObservationIndex::build(tuples, nullptr, &rels);
-  const auto result = classify_customer_peer(index);
-  EXPECT_EQ(result.label_of(Community(100, 1000)), Intent::kAction);
-  EXPECT_EQ(result.label_of(Community(100, 5000)), Intent::kInformation);
+TEST(LabelAlphaCounts, ExclusionsAskForNothingElse) {
+  const ClassifierConfig config;
+  int on_path_asked = 0;
+  int gathered = 0;
+  int emitted = 0;
+  const auto gather = [&] {
+    ++gathered;
+    return std::span<const BetaCounts>();
+  };
+  const auto emit = [&](const ClusterDecision&) { ++emitted; };
+  EXPECT_EQ(label_alpha_counts(
+                64512, [&] { return ++on_path_asked, true; }, gather, config,
+                emit),
+            Exclusion::kPrivateAlpha);
+  EXPECT_EQ(on_path_asked, 0);
+  EXPECT_EQ(label_alpha_counts(
+                1299, [&] { return ++on_path_asked, false; }, gather, config,
+                emit),
+            Exclusion::kAlphaNeverOnPath);
+  EXPECT_EQ(on_path_asked, 1);
+  EXPECT_EQ(gathered, 0);
+  EXPECT_EQ(emitted, 0);
+}
+
+TEST(LabelAlphaCounts, EmitsOneRecordPerCluster) {
+  // 10 and 20 cluster together (gap 10 <= 140); 500 stands alone.
+  const std::vector<BetaCounts> betas{{10, 5, 0}, {20, 3, 1}, {500, 0, 4}};
+  std::vector<ClusterDecision> clusters;
+  EXPECT_EQ(label_alpha_counts(
+                1299, [] { return true; },
+                [&] { return std::span<const BetaCounts>(betas); },
+                ClassifierConfig{},
+                [&](const ClusterDecision& c) { clusters.push_back(c); }),
+            Exclusion::kNone);
+  ASSERT_EQ(clusters.size(), 2u);
+  EXPECT_EQ(clusters[0].members.size(), 2u);
+  EXPECT_EQ(clusters[0].members.front().beta, 10);
+  EXPECT_DOUBLE_EQ(clusters[0].mean_ratio, (5.0 + 3.0) / 2);
+  EXPECT_DOUBLE_EQ(clusters[0].pooled_ratio, 8.0);
+  EXPECT_FALSE(clusters[0].pure_on);
+  EXPECT_FALSE(clusters[0].pure_off);
+  EXPECT_EQ(clusters[0].intent, Intent::kAction);  // 8 < 160
+  EXPECT_EQ(clusters[1].members.front().beta, 500);
+  EXPECT_TRUE(clusters[1].pure_off);
+  EXPECT_DOUBLE_EQ(clusters[1].pooled_ratio, 0.0);
+  EXPECT_EQ(clusters[1].intent, Intent::kAction);
+}
+
+TEST(Classifier, ClusterRecordsCarryTheRuleFields) {
+  std::vector<bgp::RibEntry> tuples;
+  add_observations(tuples, Community(100, 1000), 300, 2);
+  add_observations(tuples, Community(100, 1001), 2, 1);
+  const auto result = classify(index_of(tuples));
+  ASSERT_EQ(result.clusters.size(), 1u);
+  const ClusterInference& cluster = result.clusters[0];
+  EXPECT_EQ(cluster.cluster.alpha, 100);
+  EXPECT_EQ(cluster.cluster.betas, (std::vector<std::uint16_t>{1000, 1001}));
+  EXPECT_DOUBLE_EQ(cluster.mean_ratio, (150.0 + 2.0) / 2);
+  EXPECT_DOUBLE_EQ(cluster.pooled_ratio, 302.0 / 3);
+  EXPECT_FALSE(cluster.pure_on);
+  EXPECT_FALSE(cluster.pure_off);
+  EXPECT_EQ(cluster.intent, Intent::kAction);
+  EXPECT_EQ(result.action_count, 2u);
 }
 
 }  // namespace

@@ -2,24 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include "support/observations.hpp"
+
 namespace bgpintent::core {
 namespace {
 
-using bgp::AsPath;
-using bgp::PathCommunityTuple;
+using test_support::index_of;
+using test_support::observed;
 
-PathCommunityTuple tuple(std::vector<Asn> path, Community community) {
-  return PathCommunityTuple{AsPath(std::move(path)), community, 1};
-}
-
-void add_observations(std::vector<PathCommunityTuple>& tuples,
+void add_observations(std::vector<bgp::RibEntry>& tuples,
                       Community community, std::size_t on, std::size_t off) {
   for (std::size_t i = 0; i < on; ++i)
-    tuples.push_back(tuple({static_cast<Asn>(60000 + i),
-                            community.alpha(), 64496},
-                           community));
+    tuples.push_back(observed({static_cast<Asn>(60000 + i),
+                               community.alpha(), 64496},
+                              community));
   for (std::size_t i = 0; i < off; ++i)
-    tuples.push_back(tuple({static_cast<Asn>(61000 + i), 64496}, community));
+    tuples.push_back(observed({static_cast<Asn>(61000 + i), 64496}, community));
 }
 
 dict::DictionaryStore truth_for_100() {
@@ -33,12 +31,12 @@ dict::DictionaryStore truth_for_100() {
 }
 
 TEST(Evaluate, CountsCorrectAndMisclassified) {
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(100, 1000), 10, 0);  // info, inferred info
   add_observations(tuples, Community(100, 5000), 0, 5);   // action, inferred action
   add_observations(tuples, Community(100, 5500), 300, 1); // action, inferred info (wrong)
   add_observations(tuples, Community(100, 9999), 5, 0);   // not in dictionary
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto result = classify(index);
   const auto eval = evaluate(index, result, truth_for_100());
   EXPECT_EQ(eval.labeled_observed, 3u);
@@ -51,10 +49,10 @@ TEST(Evaluate, CountsCorrectAndMisclassified) {
 }
 
 TEST(Evaluate, UnclassifiedCountedSeparately) {
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   // Covered by dictionary but alpha never on-path -> excluded.
-  tuples.push_back(tuple({701, 1299, 64496}, Community(100, 1000)));
-  const auto index = ObservationIndex::build(tuples);
+  tuples.push_back(observed({701, 1299, 64496}, Community(100, 1000)));
+  const auto index = index_of(tuples);
   const auto result = classify(index);
   const auto eval = evaluate(index, result, truth_for_100());
   EXPECT_EQ(eval.labeled_observed, 1u);
@@ -64,7 +62,7 @@ TEST(Evaluate, UnclassifiedCountedSeparately) {
 }
 
 TEST(Evaluate, EmptyEverything) {
-  const auto index = ObservationIndex::build({});
+  const auto index = index_of({});
   const auto result = classify(index);
   const auto eval = evaluate(index, result, dict::DictionaryStore{});
   EXPECT_EQ(eval.labeled_observed, 0u);
@@ -73,11 +71,11 @@ TEST(Evaluate, EmptyEverything) {
 }
 
 TEST(BaselineClusters, BuiltPerDictionaryEntry) {
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(100, 1000), 10, 0);
   add_observations(tuples, Community(100, 1001), 10, 0);
   add_observations(tuples, Community(100, 5000), 1, 5);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto clusters = baseline_clusters(index, truth_for_100());
   ASSERT_EQ(clusters.size(), 2u);
   const auto& info = clusters[0];
@@ -93,7 +91,7 @@ TEST(BaselineClusters, BuiltPerDictionaryEntry) {
 }
 
 TEST(BaselineClusters, EntriesWithoutObservationsSkipped) {
-  const auto index = ObservationIndex::build({});
+  const auto index = index_of({});
   EXPECT_TRUE(baseline_clusters(index, truth_for_100()).empty());
 }
 
@@ -104,10 +102,10 @@ TEST(BaselineClusters, OverlappingPatternsStayDisjoint) {
         dict::Category::kBlackhole, "specific");
   d.add(dict::CommunityPattern::compile("100:1000-1010"),
         dict::Category::kLocationCity, "broad");
-  std::vector<PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   add_observations(tuples, Community(100, 1000), 3, 0);
   add_observations(tuples, Community(100, 1005), 3, 0);
-  const auto index = ObservationIndex::build(tuples);
+  const auto index = index_of(tuples);
   const auto clusters = baseline_clusters(index, truth);
   ASSERT_EQ(clusters.size(), 2u);
   EXPECT_EQ(clusters[0].member_count, 1u);  // specific owns 1000

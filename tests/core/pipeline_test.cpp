@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "mrt/mrt_file.hpp"
 #include "rel/asrank.hpp"
 #include "routing/scenario.hpp"
+#include "support/observations.hpp"
 
 namespace bgpintent::core {
 namespace {
@@ -126,35 +128,25 @@ TEST_F(PipelineIntegration, MostCommunitiesInformation) {
 
 TEST_F(PipelineIntegration, CustomerPeerFeatureIsWorse) {
   // Fig. 7: the customer:peer feature peaks at ~80% while the on/off-path
-  // feature reaches ~96%.  Verify the ordering (not absolute values).
+  // feature reaches ~96%.  Verify the ordering (not absolute values): the
+  // best customer:peer threshold over the dictionary clusters stays below
+  // the on/off classifier's accuracy.
   std::vector<bgp::AsPath> paths;
   for (const auto& entry : *entries_) paths.push_back(entry.route.path);
   const auto rels = rel::infer_relationships(paths);
 
-  ObservationConfig obs_cfg;
-  const auto index = ObservationIndex::from_entries(
-      *entries_, &scenario_->topology().orgs, &rels, obs_cfg);
-  const auto on_off = classify(index);
-  const auto cust_peer = classify_customer_peer(index);
+  const auto index =
+      test_support::index_of(*entries_, &scenario_->topology().orgs, &rels);
   const double acc_on_off =
-      evaluate(index, on_off, scenario_->ground_truth()).accuracy();
-  const double acc_cust_peer =
-      evaluate(index, cust_peer, scenario_->ground_truth()).accuracy();
-  EXPECT_GT(acc_on_off, acc_cust_peer)
-      << "on/off " << acc_on_off << " vs customer:peer " << acc_cust_peer;
-}
-
-TEST(Pipeline, RunOnTuplesMatchesRunOnEntries) {
-  routing::ScenarioConfig cfg = default_scenario(77);
-  cfg.topology.stub_count = 60;
-  cfg.vantage_point_count = 10;
-  const auto scenario = routing::Scenario::build(cfg);
-  const auto entries = scenario.entries();
-  const auto tuples = bgp::tuples_from_entries(entries);
-  Pipeline pipeline;
-  const auto via_entries = pipeline.run(entries);
-  const auto via_tuples = pipeline.run(tuples);
-  EXPECT_EQ(via_entries.inference.labels, via_tuples.inference.labels);
+      evaluate(index, classify(index), scenario_->ground_truth()).accuracy();
+  double best_cust_peer = 0.0;
+  for (const ThresholdSweepPoint& point : sweep_ratio_threshold(
+           baseline_clusters(index, scenario_->ground_truth()),
+           {0.5, 1, 2, 3, 5, 8, 12, 20, 50, 100},
+           ClusterFeature::kCustomerPeer))
+    best_cust_peer = std::max(best_cust_peer, point.accuracy);
+  EXPECT_GT(acc_on_off, best_cust_peer)
+      << "on/off " << acc_on_off << " vs customer:peer " << best_cust_peer;
 }
 
 TEST(Pipeline, EmptyInput) {
@@ -168,20 +160,18 @@ TEST_F(PipelineIntegration, ThreadCountDoesNotChangeOutput) {
   // The contract of the parallel pipeline (docs/THREADING.md): for any
   // thread count the observation index AND the inference are identical to
   // the sequential reference path, field by field.
-  const auto tuples = bgp::tuples_from_entries(*entries_);
-
   PipelineConfig sequential_cfg;
   sequential_cfg.threads = 1;
   Pipeline sequential(sequential_cfg);
   sequential.set_org_map(&scenario_->topology().orgs);
-  const auto reference = sequential.run(tuples);
+  const auto reference = sequential.run(*entries_);
 
   for (const unsigned threads : {2u, 8u}) {
     PipelineConfig cfg;
     cfg.threads = threads;
     Pipeline parallel(cfg);
     parallel.set_org_map(&scenario_->topology().orgs);
-    const auto result = parallel.run(tuples);
+    const auto result = parallel.run(*entries_);
 
     // Observation index: same stats in the same (sorted) order.
     EXPECT_EQ(result.observations.all(), reference.observations.all())

@@ -2,26 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include "support/observations.hpp"
+
 #include <sstream>
 
 namespace bgpintent::core {
 namespace {
 
-using bgp::AsPath;
-using bgp::PathCommunityTuple;
+using test_support::index_of;
+using test_support::observed;
 
-PathCommunityTuple tuple(std::vector<Asn> path, Community community) {
-  return PathCommunityTuple{AsPath(std::move(path)), community, 1};
-}
-
-void add_observations(std::vector<PathCommunityTuple>& tuples,
+void add_observations(std::vector<bgp::RibEntry>& tuples,
                       Community community, std::size_t on, std::size_t off) {
   for (std::size_t i = 0; i < on; ++i)
-    tuples.push_back(tuple({static_cast<Asn>(60000 + i),
-                            community.alpha(), 64496},
-                           community));
+    tuples.push_back(observed({static_cast<Asn>(60000 + i),
+                               community.alpha(), 64496},
+                              community));
   for (std::size_t i = 0; i < off; ++i)
-    tuples.push_back(tuple({static_cast<Asn>(61000 + i), 64496}, community));
+    tuples.push_back(observed({static_cast<Asn>(61000 + i), 64496}, community));
 }
 
 struct Fixture {
@@ -29,13 +27,13 @@ struct Fixture {
   InferenceResult inference;
 
   Fixture() {
-    std::vector<PathCommunityTuple> tuples;
+    std::vector<bgp::RibEntry> tuples;
     add_observations(tuples, Community(100, 1000), 10, 0);  // info block
     add_observations(tuples, Community(100, 1005), 8, 0);
     add_observations(tuples, Community(100, 5000), 1, 9);   // action block
     add_observations(tuples, Community(100, 5010), 1, 7);
     add_observations(tuples, Community(100, 9000), 4, 0);   // singleton
-    index = ObservationIndex::build(tuples);
+    index = index_of(tuples);
     inference = classify(index);
   }
 };
@@ -103,7 +101,7 @@ TEST(Summarize, WriteSummaryIsLoadable) {
 }
 
 TEST(Summarize, EmptyInference) {
-  const auto index = ObservationIndex::build({});
+  const auto index = index_of({});
   const auto inference = classify(index);
   EXPECT_TRUE(summarize(index, inference).empty());
 }
@@ -132,7 +130,7 @@ TEST(DiffDictionaries, AgreementAndCoverage) {
 }
 
 TEST(DiffDictionaries, EmptyObservations) {
-  const auto index = ObservationIndex::build({});
+  const auto index = index_of({});
   const auto diff =
       diff_dictionaries(index, dict::DictionaryStore{}, dict::DictionaryStore{});
   EXPECT_EQ(diff.both_cover, 0u);

@@ -4,7 +4,8 @@
 //
 //   * tolerant mode recovers every record the corruption did not touch,
 //   * strict mode still hard-fails on the same images,
-//   * the sequential and parallel tolerant readers agree exactly,
+//   * the sequential decode and the chunked-parallel ingest
+//     (core::MrtIngest::add_parallel) agree exactly,
 //   * error budgets trip where documented (absolute mid-stream, fractional
 //     at end of stream), and
 //   * classification over the survivors is identical to a clean run over
@@ -20,9 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "bgp/path_table.hpp"
+#include "core/ingest.hpp"
 #include "core/pipeline.hpp"
 #include "mrt/mrt_file.hpp"
 #include "routing/scenario.hpp"
+#include "support/rib_entries.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bgpintent::mrt {
@@ -85,19 +89,42 @@ std::vector<bgp::RibEntry> decode_without(
     const auto begin = clean.begin() + static_cast<std::ptrdiff_t>(spans[i].offset);
     sub.insert(sub.end(), begin, begin + static_cast<std::ptrdiff_t>(spans[i].length));
   }
-  return read_rib_entries(sub);
+  return test_support::decode_entries(sub);
 }
 
 std::vector<bgp::RibEntry> tolerant_decode(
     const std::vector<std::uint8_t>& bytes, const DecodeOptions& options,
     DecodeReport* report = nullptr) {
-  return read_rib_entries(std::span<const std::uint8_t>(bytes), options,
-                          report);
+  return test_support::decode_entries(bytes, options, report);
+}
+
+/// "path|community" of every interned tuple, in stream order.
+std::vector<std::string> tuple_keys(
+    const bgp::PathTable& paths, std::span<const bgp::InternedTuple> tuples) {
+  std::vector<std::string> keys;
+  keys.reserve(tuples.size());
+  for (const bgp::InternedTuple& tuple : tuples)
+    keys.push_back(paths.materialize(tuple.path).to_string() + "|" +
+                   tuple.community.to_string());
+  return keys;
+}
+
+/// Feeds `bytes` to the chunked-parallel decoder, off an istream
+/// (`via_stream`) or as an in-memory image.
+void add_parallel(core::MrtIngest& ingest,
+                  const std::vector<std::uint8_t>& bytes,
+                  util::ThreadPool& pool, bool via_stream) {
+  if (via_stream) {
+    std::istringstream in(std::string(bytes.begin(), bytes.end()));
+    ingest.add_parallel(in, pool);
+  } else {
+    ingest.add_parallel(BufferSource(bytes), pool);
+  }
 }
 
 TEST(FaultInjection, CleanImageTolerantMatchesStrict) {
   const auto image = make_image();
-  const auto strict = read_rib_entries(image);
+  const auto strict = test_support::decode_entries(image);
   DecodeReport report;
   const auto tolerant = tolerant_decode(image, tolerant_options(), &report);
   EXPECT_EQ(keys_of(tolerant), keys_of(strict));
@@ -152,14 +179,15 @@ TEST(FaultInjection, StrictModeStillThrowsOnStructuralCorruption) {
                               CorruptionKind::kLengthLie}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const auto corruption = corrupt_mrt(image, kind, seed);
-      EXPECT_THROW((void)read_rib_entries(corruption.bytes), MrtError)
+      EXPECT_THROW((void)test_support::decode_entries(corruption.bytes),
+                   MrtError)
           << corruption.description;
     }
   }
 }
 
-// The sequential and parallel tolerant readers share one framer, so they
-// must agree on entries and on every counter — at any pool size.
+// The sequential decode and the parallel ingest share one framer, so they
+// must agree on tuples and on every counter — at any pool size.
 TEST(FaultInjection, SequentialAndParallelTolerantAgree) {
   const auto image = make_image();
   util::ThreadPool pool(4);
@@ -169,17 +197,19 @@ TEST(FaultInjection, SequentialAndParallelTolerantAgree) {
       DecodeReport sequential_report;
       const auto sequential = tolerant_decode(
           corruption.bytes, tolerant_options(), &sequential_report);
+      bgp::PathTable sequential_paths;
+      const auto sequential_tuples =
+          bgp::intern_entries(sequential_paths, sequential);
 
-      std::istringstream in(std::string(corruption.bytes.begin(),
-                                        corruption.bytes.end()));
-      DecodeReport parallel_report;
-      const auto parallel = read_rib_entries_parallel(
-          in, pool, tolerant_options(), &parallel_report);
+      core::MrtIngest parallel(tolerant_options());
+      add_parallel(parallel, corruption.bytes, pool, /*via_stream=*/true);
+      const DecodeReport& parallel_report = parallel.report();
 
-      ASSERT_EQ(sequential.size(), parallel.size()) << corruption.description;
-      for (std::size_t i = 0; i < sequential.size(); ++i)
-        EXPECT_EQ(entry_key(sequential[i]), entry_key(parallel[i]))
-            << corruption.description << " entry " << i;
+      EXPECT_EQ(sequential.size(), parallel.entries())
+          << corruption.description;
+      EXPECT_EQ(tuple_keys(sequential_paths, sequential_tuples),
+                tuple_keys(parallel.paths(), parallel.tuples()))
+          << corruption.description;
       EXPECT_EQ(sequential_report.records_ok, parallel_report.records_ok)
           << corruption.description;
       EXPECT_EQ(sequential_report.records_skipped,
@@ -258,16 +288,15 @@ TEST(FaultInjection, AbsoluteBudgetTripsMidStream) {
   EXPECT_TRUE(report.budget_exhausted);
   EXPECT_GE(report.records_skipped, 1u);
 
-  // The parallel reader defers the trip until in-flight chunks drain, but
+  // The parallel ingest defers the trip until in-flight chunks drain, but
   // the outcome is the same.
   util::ThreadPool pool(4);
-  std::istringstream in(
-      std::string(corruption.bytes.begin(), corruption.bytes.end()));
-  DecodeReport parallel_report;
-  EXPECT_THROW(
-      (void)read_rib_entries_parallel(in, pool, options, &parallel_report),
-      DecodeBudgetError);
-  EXPECT_TRUE(parallel_report.budget_exhausted);
+  core::MrtIngest parallel(options);
+  EXPECT_THROW(add_parallel(parallel, corruption.bytes, pool,
+                            /*via_stream=*/true),
+               DecodeBudgetError);
+  EXPECT_TRUE(parallel.report().budget_exhausted);
+  EXPECT_GE(parallel.report().records_skipped, 1u);
 }
 
 TEST(FaultInjection, FractionalBudgetIsEnforcedAtEndOfStream) {
@@ -364,21 +393,24 @@ TEST(ParallelStrictErrors, PoisonedChunkRethrowsAndPoolSurvives) {
   poison_peer_index(image, spans, 150);
 
   util::ThreadPool pool(4);
-  std::istringstream in(std::string(image.begin(), image.end()));
-  try {
-    (void)read_rib_entries_parallel(in, pool, {});
-    FAIL() << "expected MrtError";
-  } catch (const MrtError& error) {
-    EXPECT_NE(std::string(error.what()).find("peer index out of range"),
-              std::string::npos);
-  }
-
-  // No deadlocked or leaked futures: the same pool immediately completes a
-  // clean parallel decode.
   const auto clean = make_image(200);
-  std::istringstream clean_in(std::string(clean.begin(), clean.end()));
-  EXPECT_EQ(read_rib_entries_parallel(clean_in, pool).size(),
-            read_rib_entries(clean).size());
+  for (const bool via_stream : {true, false}) {
+    core::MrtIngest poisoned;
+    try {
+      add_parallel(poisoned, image, pool, via_stream);
+      FAIL() << "expected MrtError";
+    } catch (const MrtError& error) {
+      EXPECT_NE(std::string(error.what()).find("peer index out of range"),
+                std::string::npos);
+    }
+
+    // No deadlocked or leaked futures: the same pool immediately completes
+    // a clean parallel decode.
+    core::MrtIngest ingest;
+    add_parallel(ingest, clean, pool, via_stream);
+    EXPECT_EQ(ingest.entries(), test_support::decode_entries(clean).size())
+        << "via_stream=" << via_stream;
+  }
 }
 
 TEST(ParallelStrictErrors, ErrorsSurfaceInChunkOrder) {
@@ -392,18 +424,20 @@ TEST(ParallelStrictErrors, ErrorsSurfaceInChunkOrder) {
 
   util::ThreadPool pool(4);
   for (int round = 0; round < 3; ++round) {
-    std::istringstream in(std::string(image.begin(), image.end()));
-    std::size_t throws = 0;
-    std::string message;
-    try {
-      (void)read_rib_entries_parallel(in, pool, {});
-    } catch (const MrtError& error) {
-      ++throws;
-      message = error.what();
+    for (const bool via_stream : {true, false}) {
+      core::MrtIngest ingest;
+      std::size_t throws = 0;
+      std::string message;
+      try {
+        add_parallel(ingest, image, pool, via_stream);
+      } catch (const MrtError& error) {
+        ++throws;
+        message = error.what();
+      }
+      EXPECT_EQ(throws, 1u);
+      EXPECT_NE(message.find("truncated record"), std::string::npos)
+          << "expected the earlier chunk's error, got: " << message;
     }
-    EXPECT_EQ(throws, 1u);
-    EXPECT_NE(message.find("truncated record"), std::string::npos)
-        << "expected the earlier chunk's error, got: " << message;
   }
 }
 

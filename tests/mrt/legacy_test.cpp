@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "mrt/mrt_file.hpp"
+#include "support/rib_entries.hpp"
 
 namespace bgpintent::mrt {
 namespace {
@@ -30,7 +31,7 @@ TEST(LegacyTableDump, RoundTrip) {
   writer.write_legacy_rib(entries, 1082000000);
 
   std::istringstream in(out.str());
-  const auto decoded = read_rib_entries(in);
+  const auto decoded = test_support::decode_entries(in);
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0].vantage_point, entries[0].vantage_point);
   EXPECT_EQ(decoded[0].route.prefix, entries[0].route.prefix);
@@ -62,7 +63,7 @@ TEST(LegacyTableDump, ManyCommunitiesUseExtendedLength) {
   MrtWriter writer(out);
   writer.write_legacy_rib({entry}, 0);
   std::istringstream in(out.str());
-  const auto decoded = read_rib_entries(in);
+  const auto decoded = test_support::decode_entries(in);
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].route.communities.size(), 100u);
   EXPECT_EQ(decoded[0].route.communities, entry.route.communities);
@@ -87,7 +88,7 @@ TEST(StateChange, WrittenAndSkippedOnRead) {
   EXPECT_EQ(state_changes, 2u);
 
   std::istringstream in(out.str());
-  const auto decoded = read_rib_entries(in);
+  const auto decoded = test_support::decode_entries(in);
   ASSERT_EQ(decoded.size(), 1u);  // only the update contributes routes
   EXPECT_EQ(decoded[0].route.path, entry.route.path);
 }
@@ -100,7 +101,7 @@ TEST(LegacyTableDump, MixedWithV2InOneStream) {
   writer.write_legacy_rib({a}, 100);
   writer.write_rib_snapshot({b}, 0x7f000001, 200);
   std::istringstream in(out.str());
-  const auto decoded = read_rib_entries(in);
+  const auto decoded = test_support::decode_entries(in);
   EXPECT_EQ(decoded.size(), 2u);
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "routing/scenario.hpp"
+#include "support/rib_entries.hpp"
 
 namespace bgpintent::mrt {
 namespace {
@@ -75,7 +76,7 @@ TEST(RibSnapshot, RoundTripPreservesEntries) {
   writer.write_rib_snapshot(entries, 0x0a0a0a0a, 1700000000);
 
   std::istringstream in(out.str());
-  auto decoded = read_rib_entries(in);
+  auto decoded = test_support::decode_entries(in);
   ASSERT_EQ(decoded.size(), entries.size());
   // Reader groups by prefix; compare as multisets via sorting.
   auto key = [](const bgp::RibEntry& e) {
@@ -98,7 +99,7 @@ TEST(RibSnapshot, EmptySnapshotYieldsPeerTableOnly) {
   MrtWriter writer(out);
   writer.write_rib_snapshot({}, 1, 0);
   std::istringstream in(out.str());
-  EXPECT_TRUE(read_rib_entries(in).empty());
+  EXPECT_TRUE(test_support::decode_entries(in).empty());
 }
 
 TEST(Updates, RoundTripThroughBgp4mp) {
@@ -109,7 +110,7 @@ TEST(Updates, RoundTripThroughBgp4mp) {
   writer.write_update(entry.vantage_point, entry.route, 1700000001);
 
   std::istringstream in(out.str());
-  const auto decoded = read_rib_entries(in);
+  const auto decoded = test_support::decode_entries(in);
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].vantage_point, entry.vantage_point);
   EXPECT_EQ(decoded[0].route.prefix, entry.route.prefix);
@@ -125,7 +126,7 @@ TEST(Updates, MixedSnapshotAndUpdatesInOneStream) {
   writer.write_rib_snapshot({a}, 1, 100);
   writer.write_update(b.vantage_point, b.route, 101);
   std::istringstream in(out.str());
-  const auto decoded = read_rib_entries(in);
+  const auto decoded = test_support::decode_entries(in);
   EXPECT_EQ(decoded.size(), 2u);
 }
 
@@ -136,7 +137,7 @@ TEST(Updates, UnknownRecordTypesSkipped) {
   const auto a = make_entry(65001, "10.0.0.0/24", {65001, 64496});
   writer.write_update(a.vantage_point, a.route, 1);
   std::istringstream in(out.str());
-  EXPECT_EQ(read_rib_entries(in).size(), 1u);
+  EXPECT_EQ(test_support::decode_entries(in).size(), 1u);
 }
 
 TEST(Updates, ReadFromByteVector) {
@@ -146,7 +147,7 @@ TEST(Updates, ReadFromByteVector) {
   writer.write_update(a.vantage_point, a.route, 1);
   const std::string s = out.str();
   std::vector<std::uint8_t> bytes(s.begin(), s.end());
-  EXPECT_EQ(read_rib_entries(bytes).size(), 1u);
+  EXPECT_EQ(test_support::decode_entries(bytes).size(), 1u);
 }
 
 // Integration: a full simulated collector RIB survives the MRT round trip
@@ -166,7 +167,7 @@ TEST(MrtIntegration, ScenarioRibSurvivesRoundTrip) {
   MrtWriter writer(out);
   writer.write_rib_snapshot(entries, 0x7f000001, 1684886400);
   std::istringstream in(out.str());
-  auto decoded = read_rib_entries(in);
+  auto decoded = test_support::decode_entries(in);
   ASSERT_EQ(decoded.size(), entries.size());
 
   auto key = [](const bgp::RibEntry& e) {

@@ -14,6 +14,7 @@
 
 #include "mrt/buffer.hpp"
 #include "mrt/source.hpp"
+#include "support/temp_path.hpp"
 
 namespace bgpintent::mrt {
 namespace {
@@ -29,7 +30,7 @@ std::vector<std::uint8_t> sample_bytes() {
 /// path.
 std::string write_temp_file(const std::string& name,
                             const std::vector<std::uint8_t>& bytes) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = test_support::unique_temp_path(name);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -70,7 +71,7 @@ TEST(MmapSourceTest, EmptyFileMapsToEmptySpan) {
 }
 
 TEST(MmapSourceTest, MissingFileThrows) {
-  EXPECT_THROW(MmapSource(::testing::TempDir() + "does_not_exist.bin"),
+  EXPECT_THROW(MmapSource(test_support::unique_temp_path("does_not_exist.bin")),
                MrtError);
 }
 
@@ -95,7 +96,7 @@ TEST(OpenSourceTest, MmapDisabledFallsBackToBuffer) {
 }
 
 TEST(OpenSourceTest, MissingFileThrows) {
-  EXPECT_THROW((void)open_source(::testing::TempDir() + "missing.bin"),
+  EXPECT_THROW((void)open_source(test_support::unique_temp_path("missing.bin")),
                MrtError);
 }
 

@@ -1,19 +1,23 @@
 // Robustness of the MRT decoder against corrupted input: for any byte
-// mutation of a valid stream, read_rib_entries must either succeed or throw
-// MrtError — never crash, hang, or throw anything else.  Wire parsers face
-// untrusted data; this is the contract fuzzers would check.
+// mutation of a valid stream, mrt::decode_rib_stream must either succeed or
+// throw MrtError — never crash, hang, or throw anything else.  Wire parsers
+// face untrusted data; this is the contract fuzzers would check.
 //
-// The same contract holds for read_rib_entries_parallel, with the extra
-// requirement that a worker-side decode error must drain cleanly through
-// the bounded chunk queue — an exception may never leave in-flight chunks
-// deadlocked or the pool wedged (the shared pool below would hang the
-// whole suite if it did).
+// The same contract holds for the chunked-parallel decoder
+// (core::MrtIngest::add_parallel), with the extra requirement that a
+// worker-side decode error must drain cleanly through the bounded chunk
+// queue — an exception may never leave in-flight chunks deadlocked or the
+// pool wedged (the shared pool below would hang the whole suite if it did).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "bgp/path_table.hpp"
+#include "core/ingest.hpp"
 #include "mrt/mrt_file.hpp"
 #include "routing/scenario.hpp"
+#include "support/rib_entries.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -53,12 +57,13 @@ util::ThreadPool& shared_pool() {
   return pool;
 }
 
-/// Runs the corrupted bytes through the parallel reader; success or
+/// Runs the corrupted bytes through the parallel ingest; success or
 /// MrtError are both acceptable, anything else fails the test.
 void expect_parallel_read_is_clean(const std::string& bytes) {
   std::istringstream in(bytes);
+  core::MrtIngest ingest;
   try {
-    (void)read_rib_entries_parallel(in, shared_pool());
+    ingest.add_parallel(in, shared_pool());
   } catch (const MrtError&) {
   }
 }
@@ -78,7 +83,7 @@ TEST_P(MrtRobustness, SingleByteFlipsNeverCrash) {
         static_cast<char>(rng.uniform(0, 255));
     std::istringstream in(corrupted);
     try {
-      const auto entries = read_rib_entries(in);
+      const auto entries = test_support::decode_entries(in);
       (void)entries;  // success with altered content is acceptable
     } catch (const MrtError&) {
       // rejected cleanly: acceptable
@@ -93,7 +98,7 @@ TEST_P(MrtRobustness, TruncationsNeverCrash) {
     const std::size_t keep = rng.index(bytes.size());
     std::istringstream in(bytes.substr(0, keep));
     try {
-      (void)read_rib_entries(in);
+      (void)test_support::decode_entries(in);
     } catch (const MrtError&) {
     }
   }
@@ -106,7 +111,7 @@ TEST_P(MrtRobustness, MultiByteGarbageNeverCrashes) {
     for (char& c : garbage) c = static_cast<char>(rng.uniform(0, 255));
     std::istringstream in(garbage);
     try {
-      (void)read_rib_entries(in);
+      (void)test_support::decode_entries(in);
     } catch (const MrtError&) {
     }
   }
@@ -143,15 +148,23 @@ TEST_P(MrtRobustness, MultiByteGarbageNeverCrashesParallelPath) {
 
 TEST(MrtRobustness, ValidStreamStillParses) {
   std::istringstream in(valid_stream());
-  EXPECT_GT(read_rib_entries(in).size(), 10u);
+  EXPECT_GT(test_support::decode_entries(in).size(), 10u);
 }
 
 TEST(MrtRobustness, ParallelReadMatchesSequentialOnValidStream) {
   std::istringstream seq_in(valid_stream());
-  const auto sequential = read_rib_entries(seq_in);
+  const auto sequential = test_support::decode_entries(seq_in);
+  bgp::PathTable paths;
+  const auto tuples = bgp::intern_entries(paths, sequential);
+
   std::istringstream par_in(valid_stream());
-  const auto parallel = read_rib_entries_parallel(par_in, shared_pool());
-  EXPECT_EQ(parallel, sequential);
+  core::MrtIngest parallel;
+  parallel.add_parallel(par_in, shared_pool());
+  EXPECT_EQ(parallel.entries(), sequential.size());
+  ASSERT_EQ(parallel.paths().size(), paths.size());
+  for (bgp::PathId id = 0; id < paths.size(); ++id)
+    EXPECT_EQ(parallel.paths().materialize(id), paths.materialize(id));
+  EXPECT_TRUE(std::ranges::equal(parallel.tuples(), tuples));
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // accumulation, sequential or sharded-parallel at any pool size) produces
 // exactly the CommunityStats the seed implementation produced — per-tuple
 // AsPath hashing into per-community unordered_set accumulators — on
-// randomized tuple sets, with and without org-sibling expansion and
-// relationship votes.
+// randomized tuple sets (one RIB row per tuple), with and without
+// org-sibling expansion and relationship votes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "bgp/aspath.hpp"
+#include "bgp/path_table.hpp"
 #include "bgp/route.hpp"
 #include "core/observations.hpp"
 #include "rel/dataset.hpp"
+#include "support/observations.hpp"
 #include "topo/org_map.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -35,11 +37,11 @@ struct ReferenceIndex {
   std::size_t unique_paths = 0;
 };
 
-/// Replica of the pre-interning ObservationIndex::build: one full AsPath
-/// per tuple, hash-set accumulators, on-path recomputed per tuple, one
+/// Replica of the pre-interning observation build: one full AsPath per
+/// tuple, hash-set accumulators, on-path recomputed per tuple, one
 /// relationship vote per unique on-path path.
 ReferenceIndex reference_build(
-    const std::vector<bgp::PathCommunityTuple>& tuples,
+    const std::vector<bgp::RibEntry>& tuples,
     const topo::OrgMap* orgs, const rel::RelationshipDataset* relationships,
     const ObservationConfig& config) {
   struct Acc {
@@ -49,21 +51,23 @@ ReferenceIndex reference_build(
   };
   std::map<Community, Acc> acc;
   std::unordered_set<std::uint64_t> unique_paths;
-  for (const bgp::PathCommunityTuple& tuple : tuples) {
-    const std::uint64_t hash = tuple.path.hash();
+  for (const bgp::RibEntry& tuple : tuples) {
+    const bgp::AsPath& path = tuple.route.path;
+    const Community community = tuple.route.communities.front();
+    const std::uint64_t hash = path.hash();
     unique_paths.insert(hash);
-    const std::uint16_t alpha = tuple.community.alpha();
-    bool on = tuple.path.contains(alpha);
+    const std::uint16_t alpha = community.alpha();
+    bool on = path.contains(alpha);
     if (!on && config.sibling_aware && orgs != nullptr)
       for (const bgp::Asn sibling : orgs->siblings(alpha))
-        if (sibling != alpha && tuple.path.contains(sibling)) on = true;
-    Acc& a = acc[tuple.community];
+        if (sibling != alpha && path.contains(sibling)) on = true;
+    Acc& a = acc[community];
     if (!on) {
       a.off_paths.insert(hash);
       continue;
     }
     if (!a.on_paths.insert(hash).second || relationships == nullptr) continue;
-    if (const auto next = tuple.path.next_toward_origin(alpha))
+    if (const auto next = path.next_toward_origin(alpha))
       if (const auto rel = relationships->relationship(alpha, *next))
         switch (*rel) {
           case topo::RelFrom::kCustomer: ++a.votes.customer; break;
@@ -100,10 +104,11 @@ void expect_matches_reference(const ObservationIndex& index,
   }
 }
 
-/// Randomized tuple set: a small path pool (with prepends and occasional
-/// AS_SETs) replayed with repetition, alphas drawn so that on-path,
-/// sibling-expanded and off-path cases all occur.
-std::vector<bgp::PathCommunityTuple> random_tuples(std::uint64_t seed) {
+/// Randomized tuple set, one single-community RIB row per tuple: a small
+/// path pool (with prepends and occasional AS_SETs) replayed with
+/// repetition, alphas drawn so that on-path, sibling-expanded and off-path
+/// cases all occur.
+std::vector<bgp::RibEntry> random_tuples(std::uint64_t seed) {
   util::Rng rng(seed);
   const std::size_t pool_size = 20 + rng.uniform(0, 20);
   std::vector<bgp::AsPath> pool;
@@ -130,19 +135,20 @@ std::vector<bgp::PathCommunityTuple> random_tuples(std::uint64_t seed) {
     }
   }
   const std::size_t tuple_count = 200 + rng.uniform(0, 600);
-  std::vector<bgp::PathCommunityTuple> tuples;
+  std::vector<bgp::RibEntry> tuples;
   tuples.reserve(tuple_count);
   for (std::size_t i = 0; i < tuple_count; ++i) {
-    bgp::PathCommunityTuple tuple;
-    tuple.path = pool[rng.uniform(0, static_cast<std::uint64_t>(pool_size - 1))];
+    bgp::RibEntry tuple;
+    tuple.route.path =
+        pool[rng.uniform(0, static_cast<std::uint64_t>(pool_size - 1))];
     // Alphas overlap the path ASN range (on-path), its sibling groups, and
     // a disjoint range (always off-path).
     const std::uint16_t alpha =
         rng.uniform(0, 1) == 0
             ? static_cast<std::uint16_t>(100 + rng.uniform(0, 49))
             : static_cast<std::uint16_t>(5000 + rng.uniform(0, 9));
-    tuple.community =
-        Community(alpha, static_cast<std::uint16_t>(rng.uniform(0, 30)));
+    tuple.route.communities = {
+        Community(alpha, static_cast<std::uint16_t>(rng.uniform(0, 30)))};
     tuples.push_back(std::move(tuple));
   }
   return tuples;
@@ -186,7 +192,7 @@ TEST_P(ObservationInterningProperty, MatchesReferenceWithoutOrgMap) {
   const ObservationConfig config;
   const auto reference = reference_build(tuples, nullptr, nullptr, config);
   expect_matches_reference(
-      ObservationIndex::build(tuples, nullptr, nullptr, config), reference);
+      test_support::index_of(tuples, nullptr, nullptr, config), reference);
 }
 
 TEST_P(ObservationInterningProperty, MatchesReferenceWithSiblings) {
@@ -195,7 +201,7 @@ TEST_P(ObservationInterningProperty, MatchesReferenceWithSiblings) {
   const ObservationConfig config;
   const auto reference = reference_build(tuples, &orgs, nullptr, config);
   expect_matches_reference(
-      ObservationIndex::build(tuples, &orgs, nullptr, config), reference);
+      test_support::index_of(tuples, &orgs, nullptr, config), reference);
 }
 
 TEST_P(ObservationInterningProperty, MatchesReferenceSiblingAwareOff) {
@@ -205,7 +211,7 @@ TEST_P(ObservationInterningProperty, MatchesReferenceSiblingAwareOff) {
   config.sibling_aware = false;
   const auto reference = reference_build(tuples, &orgs, nullptr, config);
   expect_matches_reference(
-      ObservationIndex::build(tuples, &orgs, nullptr, config), reference);
+      test_support::index_of(tuples, &orgs, nullptr, config), reference);
 }
 
 TEST_P(ObservationInterningProperty, MatchesReferenceWithRelationshipVotes) {
@@ -215,7 +221,7 @@ TEST_P(ObservationInterningProperty, MatchesReferenceWithRelationshipVotes) {
   const ObservationConfig config;
   const auto reference = reference_build(tuples, &orgs, &rels, config);
   expect_matches_reference(
-      ObservationIndex::build(tuples, &orgs, &rels, config), reference);
+      test_support::index_of(tuples, &orgs, &rels, config), reference);
 }
 
 TEST_P(ObservationInterningProperty, ParallelMatchesReferenceAtAnyPoolSize) {
@@ -224,10 +230,12 @@ TEST_P(ObservationInterningProperty, ParallelMatchesReferenceAtAnyPoolSize) {
   const rel::RelationshipDataset rels = random_relationships(GetParam());
   const ObservationConfig config;
   const auto reference = reference_build(tuples, &orgs, &rels, config);
+  bgp::PathTable paths;
+  const auto interned = bgp::intern_entries(paths, tuples);
   for (const unsigned threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
-    const auto index =
-        ObservationIndex::build_parallel(tuples, pool, &orgs, &rels, config);
+    const auto index = ObservationIndex::build_parallel_interned(
+        paths, interned, pool, &orgs, &rels, config);
     expect_matches_reference(index, reference);
   }
 }

@@ -19,6 +19,7 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
+#include "support/temp_path.hpp"
 
 namespace bgpintent::serve {
 namespace {
@@ -50,8 +51,8 @@ struct Fixture {
     }
     v2_bytes = encode_snapshot(original, SnapshotFormat::kV2);
     v3_bytes = encode_snapshot(original, SnapshotFormat::kV3);
-    v3_path = ::testing::TempDir() + "bgpintent_equiv_" +
-              std::to_string(seed) + ".snap";
+    v3_path = test_support::unique_temp_path("equiv_" +
+                                             std::to_string(seed) + ".snap");
     write_snapshot_bytes(v3_bytes, v3_path);
 
     for (const auto& alpha : original.export_state().alphas)
@@ -179,7 +180,6 @@ TEST(SnapshotV3Equivalence, ServersAgreeOnLabelBatchLabelAndTotals) {
     const auto mapped = MappedSnapshot::open(fx.v3_path);
     ServerConfig cfg;
     cfg.port = 0;
-    cfg.threads = 2;
     cfg.shards = shards;
     Server v2_server(fx.load_v2(), cfg);
     Server v3_server(fx.borrow_v3(mapped), cfg);

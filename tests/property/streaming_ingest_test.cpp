@@ -1,10 +1,11 @@
 // Streaming-vs-materializing equivalence: core::MrtIngest (decode ->
 // intern in one pass, no row vector) must produce byte-identical interned
 // output — PathTable contents, tuple sequence, row count, decode report —
-// to the materializing reference (read_rib_entries + intern_entries), in
-// strict mode, in tolerant mode over fault-injected inputs, and through
-// add_parallel at any pool size.  The perf claim in BENCH_ingest.json
-// rests entirely on this property; docs/PERFORMANCE.md points here.
+// to the materializing reference (a vector sink over mrt::decode_rib_stream,
+// then intern_entries), in strict mode, in tolerant mode over
+// fault-injected inputs, and through add_parallel at any pool size.  The
+// perf claim in BENCH_ingest.json rests entirely on this property;
+// docs/PERFORMANCE.md points here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "mrt/mrt_file.hpp"
 #include "mrt/source.hpp"
 #include "routing/scenario.hpp"
+#include "support/rib_entries.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bgpintent::core {
@@ -64,7 +66,7 @@ struct Materialized {
 Materialized materialize(const std::vector<std::uint8_t>& bytes,
                          const mrt::DecodeOptions& options) {
   Materialized out;
-  const auto rows = mrt::read_rib_entries(bytes, options, &out.report);
+  const auto rows = test_support::decode_entries(bytes, options, &out.report);
   out.entries = rows.size();
   out.tuples = bgp::intern_entries(out.table, rows);
   return out;
@@ -183,7 +185,7 @@ TEST(StreamingIngestTest, PipelineClassificationIdentical) {
   const Pipeline pipeline;
 
   mrt::DecodeReport report;
-  const auto rows = mrt::read_rib_entries(bytes, {}, &report);
+  const auto rows = test_support::decode_entries(bytes, {}, &report);
   PipelineResult expected = pipeline.run(rows);
   expected.decode_report = std::move(report);
 

@@ -20,6 +20,7 @@
 #include "routing/scenario.hpp"
 #include "serve/client.hpp"
 #include "serve/snapshot.hpp"
+#include "support/temp_path.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::serve {
@@ -42,7 +43,7 @@ bgp::RibEntry entry(std::uint32_t vp, std::vector<bgp::Asn> path,
 ServerConfig loopback_config() {
   ServerConfig cfg;
   cfg.port = 0;        // ephemeral
-  cfg.threads = 2;     // independent of the host's core count
+  cfg.shards = 2;      // independent of the host's core count
   return cfg;
 }
 
@@ -68,7 +69,7 @@ TEST(Server, SnapshotServerMatchesBatchPipeline) {
   IncrementalClassifier primed;
   primed.set_org_map(&scenario.topology().orgs);
   primed.ingest(entries);
-  const std::string snap = ::testing::TempDir() + "serve_test_snap.bin";
+  const std::string snap = test_support::unique_temp_path("snap.bin");
   save_snapshot(primed, snap);
   auto loaded = load_snapshot(snap);
   loaded.set_org_map(&scenario.topology().orgs);
@@ -313,7 +314,7 @@ TEST(Server, SnapshotCommandWritesLoadableFile) {
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
-  const std::string path = ::testing::TempDir() + "serve_cmd_snap.bin";
+  const std::string path = test_support::unique_temp_path("snap.bin");
   client.snapshot(path);
   const auto restored = load_snapshot(path);
   EXPECT_EQ(restored.export_state(), want_state);
@@ -407,7 +408,7 @@ TEST(Server, GracefulDrainStopsAccepting) {
 }
 
 TEST(Server, FinalSnapshotWrittenOnDrain) {
-  const std::string path = ::testing::TempDir() + "serve_drain_snap.bin";
+  const std::string path = test_support::unique_temp_path("snap.bin");
   auto cfg = loopback_config();
   cfg.snapshot_path = path;
   IncrementalClassifier classifier;

@@ -11,6 +11,7 @@
 
 #include "core/pipeline.hpp"
 #include "routing/scenario.hpp"
+#include "support/temp_path.hpp"
 
 namespace bgpintent::serve {
 namespace {
@@ -205,7 +206,7 @@ TEST(Snapshot, StreamRoundTrip) {
 
 TEST(Snapshot, FileRoundTripIsAtomic) {
   const auto classifier = populated_classifier();
-  const std::string path = ::testing::TempDir() + "bgpintent_snap_test.bin";
+  const std::string path = test_support::unique_temp_path("snap.bin");
   save_snapshot(classifier, path);
   auto restored = load_snapshot(path);
   EXPECT_EQ(restored.export_state(), classifier.export_state());
@@ -217,8 +218,8 @@ TEST(Snapshot, FileRoundTripIsAtomic) {
 }
 
 TEST(Snapshot, LoadMissingFileThrows) {
-  EXPECT_THROW((void)load_snapshot(std::string(::testing::TempDir()) +
-                                   "no_such_snapshot.bin"),
+  EXPECT_THROW((void)load_snapshot(
+                   test_support::unique_temp_path("no_such_snapshot.bin")),
                SnapshotError);
 }
 
@@ -342,7 +343,7 @@ TEST(SnapshotV3, ConfigsSurviveRoundTrip) {
 
 TEST(SnapshotV3, MappedSnapshotServesBorrowedLabels) {
   auto classifier = populated_classifier();
-  const std::string path = ::testing::TempDir() + "bgpintent_snap_v3.bin";
+  const std::string path = test_support::unique_temp_path("snap_v3.bin");
   save_snapshot(classifier, path, SnapshotFormat::kV3);
 
   const auto mapped = MappedSnapshot::open(path);
@@ -376,7 +377,7 @@ TEST(SnapshotV3, MappedSnapshotServesBorrowedLabels) {
 
 TEST(SnapshotV3, FirstIngestDetachesTheBorrow) {
   auto original = populated_classifier();
-  const std::string path = ::testing::TempDir() + "bgpintent_snap_v3d.bin";
+  const std::string path = test_support::unique_temp_path("snap_v3d.bin");
   save_snapshot(original, path, SnapshotFormat::kV3);
 
   const auto mapped = MappedSnapshot::open(path);
@@ -393,7 +394,7 @@ TEST(SnapshotV3, FirstIngestDetachesTheBorrow) {
 }
 
 TEST(SnapshotV3, MappedOpenRejectsV2WithResaveGuidance) {
-  const std::string path = ::testing::TempDir() + "bgpintent_snap_v2m.bin";
+  const std::string path = test_support::unique_temp_path("snap_v2m.bin");
   save_snapshot(populated_classifier(), path, SnapshotFormat::kV2);
   try {
     (void)MappedSnapshot::open(path);
@@ -407,8 +408,8 @@ TEST(SnapshotV3, MappedOpenRejectsV2WithResaveGuidance) {
 }
 
 TEST(SnapshotV3, MappedOpenRejectsMissingFile) {
-  EXPECT_THROW((void)MappedSnapshot::open(std::string(::testing::TempDir()) +
-                                          "no_such_snapshot_v3.bin"),
+  EXPECT_THROW((void)MappedSnapshot::open(
+                   test_support::unique_temp_path("no_such_snapshot_v3.bin")),
                SnapshotError);
 }
 

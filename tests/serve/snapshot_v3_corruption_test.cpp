@@ -15,6 +15,7 @@
 #include "bgp/community.hpp"
 #include "mrt/fault.hpp"
 #include "serve/snapshot.hpp"
+#include "support/temp_path.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::serve {
@@ -75,7 +76,7 @@ std::string expect_both_readers_reject(const std::vector<std::uint8_t>& bytes,
     EXPECT_FALSE(message.empty()) << label;
   }
 
-  const std::string path = ::testing::TempDir() + "bgpintent_v3fuzz.bin";
+  const std::string path = test_support::unique_temp_path("v3fuzz.bin");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(bytes.data()),

@@ -45,7 +45,7 @@ bgp::RibEntry entry(std::uint32_t vp, std::vector<bgp::Asn> path,
 ServerConfig loopback_config() {
   ServerConfig cfg;
   cfg.port = 0;
-  cfg.threads = 2;
+  cfg.shards = 2;
   return cfg;
 }
 

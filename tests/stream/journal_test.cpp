@@ -14,6 +14,7 @@
 #include "stream/checkpoint.hpp"
 #include "stream/engine.hpp"
 #include "stream/wire.hpp"
+#include "support/temp_path.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::stream {
@@ -295,7 +296,7 @@ TEST(JournalScan, TornTailIsReportedTolerantlyAndThrowsStrict) {
 
 TEST(JournalScan, MissingDirectoryScansEmpty) {
   const ScanSummary summary =
-      scan_journal(::testing::TempDir() + "bgpintent_journal_nonexistent");
+      scan_journal(test_support::unique_temp_path("nonexistent"));
   EXPECT_EQ(summary.records, 0u);
   EXPECT_TRUE(summary.segments.empty());
   EXPECT_FALSE(summary.torn);
