@@ -1,24 +1,23 @@
 // Restart-to-first-query latency and cross-process page sharing for the
-// v3 columnar snapshot (docs/SERVING.md §3, docs/PERFORMANCE.md §9).
+// columnar snapshot (docs/SERVING.md §3, docs/PERFORMANCE.md §9).
 //
-// Three restart paths over the same saved state:
-//   v2 parse     — load_snapshot() of the row-oriented format: decode every
-//                  record, rebuild every hash set (the seed behaviour).
-//   v3 heap      — decode_snapshot() of the columnar format: one structural
-//                  pass, then materialize owned state.
-//   v3 mmap      — MappedSnapshot::open() + restore_view(): no decode, the
-//                  mapping IS the state; first query binary-searches the
-//                  borrowed columns.
-// Each is timed end to end through the first LABEL answer.  The speedup
-// claim self-gates on identity: the v3-mmap classifier must answer every
-// label exactly as the v2-parse one, and export identical state.
+// Two restart paths over the same saved file:
+//   heap  — load_snapshot(): one structural pass, then materialize owned
+//           state (the default `serve --snapshot` restore).
+//   mmap  — MappedSnapshot::open() + restore_view(): no decode, the mapping
+//           IS the state; first query binary-searches the borrowed columns
+//           (`serve --snapshot-mmap`).
+// Each is timed end to end through the first LABEL answer; both verify
+// every checksum.  The speedup claim self-gates on identity: both restored
+// classifiers must export exactly the never-serialized classifier's state
+// and answer every label and TOTALS as it does.
 //
-// The sharing experiment forks two children per format which restore the
+// The sharing experiment forks two children per path which restore the
 // same snapshot simultaneously and label every community; each child
 // reports the Pss growth of its address space (/proc/self/smaps_rollup).
-// Two v2 children each build a private heap; two v3 children split the
+// Two heap children each build a private heap; two mmap children split the
 // snapshot's file-backed pages between them, so their combined growth
-// must come in well under the v2 pair's.
+// must come in well under the heap pair's.
 //
 // BGPINTENT_WORLD_SCALE=smoke shrinks the world for CI;
 // BGPINTENT_BENCH_SCALE swaps in a topo preset rung;
@@ -69,7 +68,7 @@ struct ChildReport {
   std::uint64_t label_checksum = 0;
 };
 
-enum class RestorePath { kV2Parse, kV3Mmap };
+enum class RestorePath { kHeap, kMmap };
 
 /// Child body for the sharing experiment: restore, label every community,
 /// report Pss growth, then hold the state alive until the parent releases
@@ -82,7 +81,7 @@ enum class RestorePath { kV2Parse, kV3Mmap };
   const double before_kb = pss_kb();
   core::IncrementalClassifier classifier;
   std::shared_ptr<serve::MappedSnapshot> mapped;  // pins the mapping
-  if (path == RestorePath::kV2Parse) {
+  if (path == RestorePath::kHeap) {
     classifier = serve::load_snapshot(snap);
   } else {
     mapped = serve::MappedSnapshot::open(snap);
@@ -214,35 +213,20 @@ int main() {
           .string();
   fs::remove_all(scratch);
   fs::create_directories(scratch);
-  const std::string v2_path = scratch + "/state_v2.snap";
-  const std::string v3_path = scratch + "/state_v3.snap";
-  serve::save_snapshot(original, v2_path, serve::SnapshotFormat::kV2);
-  serve::save_snapshot(original, v3_path, serve::SnapshotFormat::kV3);
-  const auto v2_bytes = fs::file_size(v2_path);
-  const auto v3_bytes = fs::file_size(v3_path);
+  const std::string path = scratch + "/state.snap";
+  serve::save_snapshot(original, path);
+  const core::IncrementalClassifier::State expected = original.export_state();
+  const auto snapshot_bytes = fs::file_size(path);
   const bgp::Community probe = communities.front();
 
-  // --- Restart-to-first-query, three paths. ---
+  // --- Restart-to-first-query, two paths. ---
   volatile int sink = 0;
-  const double v2_restart_ms = best_of_ms(repeats, [&] {
-    auto classifier = serve::load_snapshot(v2_path);
+  const double heap_restart_ms = best_of_ms(repeats, [&] {
+    auto classifier = serve::load_snapshot(path);
     sink = static_cast<int>(classifier.label_of(probe));
   });
-  const double v3_heap_restart_ms = best_of_ms(repeats, [&] {
-    auto classifier = serve::load_snapshot(v3_path);
-    sink = static_cast<int>(classifier.label_of(probe));
-  });
-  const double v3_mmap_restart_ms = best_of_ms(repeats, [&] {
-    const auto mapped = serve::MappedSnapshot::open(v3_path);
-    core::IncrementalClassifier classifier(mapped->classifier_config(),
-                                           mapped->observation_config());
-    classifier.restore_view(mapped->state_view());
-    sink = static_cast<int>(classifier.label_of(probe));
-  });
-  const double v3_mmap_noverify_ms = best_of_ms(repeats, [&] {
-    serve::MappedSnapshotOptions options;
-    options.verify_segment_checksums = false;
-    const auto mapped = serve::MappedSnapshot::open(v3_path, options);
+  const double mmap_restart_ms = best_of_ms(repeats, [&] {
+    const auto mapped = serve::MappedSnapshot::open(path);
     core::IncrementalClassifier classifier(mapped->classifier_config(),
                                            mapped->observation_config());
     classifier.restore_view(mapped->state_view());
@@ -250,38 +234,43 @@ int main() {
   });
   (void)sink;
 
-  // --- The identity gate: the fast path must not change one answer. ---
+  // --- The identity gate: neither restore may change one answer. ---
   bool identical = true;
   {
-    auto from_v2 = serve::load_snapshot(v2_path);
-    from_v2.set_org_map(&scenario.topology().orgs);
-    const auto mapped = serve::MappedSnapshot::open(v3_path);
-    core::IncrementalClassifier from_v3(mapped->classifier_config(),
-                                        mapped->observation_config());
-    from_v3.set_org_map(&scenario.topology().orgs);
-    from_v3.restore_view(mapped->state_view());
-    if (from_v3.export_state() != from_v2.export_state()) identical = false;
-    for (const bgp::Community community : communities)
-      if (from_v3.label_of(community) != from_v2.label_of(community))
-        identical = false;
-    const auto a = from_v2.totals();
-    const auto b = from_v3.totals();
-    if (a.communities != b.communities || a.information != b.information ||
-        a.action != b.action || a.unclassified != b.unclassified)
+    auto from_heap = serve::load_snapshot(path);
+    from_heap.set_org_map(&scenario.topology().orgs);
+    const auto mapped = serve::MappedSnapshot::open(path);
+    core::IncrementalClassifier from_mmap(mapped->classifier_config(),
+                                          mapped->observation_config());
+    from_mmap.set_org_map(&scenario.topology().orgs);
+    from_mmap.restore_view(mapped->state_view());
+    if (from_heap.export_state() != expected ||
+        from_mmap.export_state() != expected)
       identical = false;
+    for (const bgp::Community community : communities) {
+      const core::Intent label = original.label_of(community);
+      if (from_heap.label_of(community) != label ||
+          from_mmap.label_of(community) != label)
+        identical = false;
+    }
+    const auto o = original.totals();
+    for (const auto& t : {from_heap.totals(), from_mmap.totals()})
+      if (t.communities != o.communities || t.information != o.information ||
+          t.action != o.action || t.unclassified != o.unclassified)
+        identical = false;
   }
 
-  // --- Cross-process sharing: two restarts of each format at once. ---
-  const double v2_pair_kb =
-      sharing_pair_kb(RestorePath::kV2Parse, v2_path, communities, identical);
-  const double v3_pair_kb =
-      sharing_pair_kb(RestorePath::kV3Mmap, v3_path, communities, identical);
+  // --- Cross-process sharing: two restarts of each path at once. ---
+  const double heap_pair_kb =
+      sharing_pair_kb(RestorePath::kHeap, path, communities, identical);
+  const double mmap_pair_kb =
+      sharing_pair_kb(RestorePath::kMmap, path, communities, identical);
 
   const double speedup =
-      v3_mmap_restart_ms > 0.0 ? v2_restart_ms / v3_mmap_restart_ms : 0.0;
+      mmap_restart_ms > 0.0 ? heap_restart_ms / mmap_restart_ms : 0.0;
   const double pss_ratio =
-      v2_pair_kb > 0.0 ? v3_pair_kb / v2_pair_kb : 0.0;
-  const bool pss_measured = v2_pair_kb > 0.0 && v3_pair_kb > 0.0;
+      heap_pair_kb > 0.0 ? mmap_pair_kb / heap_pair_kb : 0.0;
+  const bool pss_measured = heap_pair_kb > 0.0 && mmap_pair_kb > 0.0;
 
   const auto json_line = [](const char* metric, double value) {
     std::printf(
@@ -289,15 +278,12 @@ int main() {
         "\"value\": %.3f}\n",
         metric, value);
   };
-  json_line("snapshot_v2_bytes", static_cast<double>(v2_bytes));
-  json_line("snapshot_v3_bytes", static_cast<double>(v3_bytes));
-  json_line("v2_restart_ms", v2_restart_ms);
-  json_line("v3_heap_restart_ms", v3_heap_restart_ms);
-  json_line("v3_mmap_restart_ms", v3_mmap_restart_ms);
-  json_line("v3_mmap_noverify_ms", v3_mmap_noverify_ms);
+  json_line("snapshot_bytes", static_cast<double>(snapshot_bytes));
+  json_line("heap_restart_ms", heap_restart_ms);
+  json_line("mmap_restart_ms", mmap_restart_ms);
   json_line("restart_speedup", speedup);
-  json_line("v2_pair_pss_kb", v2_pair_kb);
-  json_line("v3_pair_pss_kb", v3_pair_kb);
+  json_line("heap_pair_pss_kb", heap_pair_kb);
+  json_line("mmap_pair_pss_kb", mmap_pair_kb);
   json_line("pair_pss_ratio", pss_ratio);
   json_line("identical", identical ? 1.0 : 0.0);
 
@@ -309,27 +295,22 @@ int main() {
         "{\n"
         "  \"bench\": \"restart_time\",\n"
         "  \"workload\": {\"entries\": %zu, \"communities\": %zu, "
-        "\"snapshot_v2_bytes\": %llu, \"snapshot_v3_bytes\": %llu, "
-        "\"mode\": \"%s\"},\n"
+        "\"snapshot_bytes\": %llu, \"mode\": \"%s\"},\n"
         "  \"results\": {\n"
-        "    \"v2_restart_ms\": %.3f,\n"
-        "    \"v3_heap_restart_ms\": %.3f,\n"
-        "    \"v3_mmap_restart_ms\": %.3f,\n"
-        "    \"v3_mmap_noverify_ms\": %.3f,\n"
+        "    \"heap_restart_ms\": %.3f,\n"
+        "    \"mmap_restart_ms\": %.3f,\n"
         "    \"restart_speedup\": %.2f,\n"
-        "    \"v2_pair_pss_kb\": %.1f,\n"
-        "    \"v3_pair_pss_kb\": %.1f,\n"
+        "    \"heap_pair_pss_kb\": %.1f,\n"
+        "    \"mmap_pair_pss_kb\": %.1f,\n"
         "    \"pair_pss_ratio\": %.3f,\n"
         "    \"identical\": %s\n"
         "  }\n"
         "}\n",
         entries.size(), communities.size(),
-        static_cast<unsigned long long>(v2_bytes),
-        static_cast<unsigned long long>(v3_bytes),
+        static_cast<unsigned long long>(snapshot_bytes),
         smoke ? "smoke" : (scale != nullptr ? scale : "default"),
-        v2_restart_ms, v3_heap_restart_ms, v3_mmap_restart_ms,
-        v3_mmap_noverify_ms, speedup, v2_pair_kb, v3_pair_kb, pss_ratio,
-        identical ? "true" : "false");
+        heap_restart_ms, mmap_restart_ms, speedup, heap_pair_kb,
+        mmap_pair_kb, pss_ratio, identical ? "true" : "false");
     std::fclose(out);
     std::printf("wrote %s\n", out_path);
   } else {
@@ -340,12 +321,13 @@ int main() {
   fs::remove_all(scratch);
 
   if (!identical) {
-    std::printf("FAIL: v3-mmap restart answers diverged from v2 parse\n");
+    std::printf(
+        "FAIL: restored answers diverged from the never-serialized state\n");
     return 1;
   }
   // Perf gates (skipped in smoke mode, where timer noise dominates): the
-  // acceptance numbers this PR claims — 10x faster first query, and a
-  // process pair paying well under two private heaps.
+  // mapped restart answers its first query 10x faster than the heap
+  // decode, and a process pair pays well under two private heaps.
   if (!smoke) {
     if (speedup < 10.0) {
       std::printf("FAIL: restart speedup %.1fx is under the 10x gate\n",

@@ -98,7 +98,7 @@ class PathTable {
   /// copies (docs/PERFORMANCE.md).
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-  // --- arena export / import (snapshot format v3, docs/SERVING.md §3) ---
+  // --- arena export / import (columnar snapshot, docs/SERVING.md §3) ---
   //
   // The table's backing storage decomposed into flat primitive columns:
   // the two ASN arenas are borrowed straight from the live vectors, the

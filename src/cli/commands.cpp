@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "cli/args.hpp"
 #include "core/incremental.hpp"
@@ -22,6 +23,7 @@
 #include "stream/recovery.hpp"
 #include "stream/synth.hpp"
 #include "util/csv.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -553,17 +555,11 @@ int cmd_mrt_corrupt(int argc, char** argv) {
   if (!seed) return kExitUsage;
 
   const std::string& in_path = args->positional().front();
-  std::ifstream in(in_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", in_path.c_str());
-    return kExitData;
-  }
   std::vector<std::uint8_t> bytes;
-  char buffer[64 * 1024];
-  while (in.read(buffer, sizeof buffer) || in.gcount() > 0)
-    bytes.insert(bytes.end(), buffer, buffer + in.gcount());
-  if (in.bad()) {
-    std::fprintf(stderr, "error: failed to read %s\n", in_path.c_str());
+  try {
+    bytes = util::read_file<std::runtime_error>(in_path);
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
     return kExitData;
   }
 
@@ -612,8 +608,7 @@ int cmd_serve(int argc, char** argv) {
   const auto args = Args::parse(
       argc, argv, 2,
       {"listen", "port", "shards", "snapshot", "snapshot-interval",
-       "snapshot-format", "read-timeout", "gap", "threshold", "max-errors",
-       "max-error-frac"},
+       "read-timeout", "gap", "threshold", "max-errors", "max-error-frac"},
       {"no-siblings", "mean-ratios", "tolerant", "mmap", "no-mmap",
        "snapshot-mmap"});
   if (!args) return 2;
@@ -632,18 +627,6 @@ int cmd_serve(int argc, char** argv) {
   if (*interval > 0 && !snapshot_path) {
     std::fprintf(stderr,
                  "error: --snapshot-interval requires --snapshot <file>\n");
-    return 2;
-  }
-  const std::string format_name =
-      args->value("snapshot-format").value_or("v2");
-  serve::SnapshotFormat snapshot_format;
-  if (format_name == "v2") {
-    snapshot_format = serve::SnapshotFormat::kV2;
-  } else if (format_name == "v3") {
-    snapshot_format = serve::SnapshotFormat::kV3;
-  } else {
-    std::fprintf(stderr, "error: --snapshot-format must be v2 or v3, got %s\n",
-                 format_name.c_str());
     return 2;
   }
   const bool snapshot_mmap = args->flag("snapshot-mmap");
@@ -666,7 +649,7 @@ int cmd_serve(int argc, char** argv) {
     if (std::ifstream probe(*snapshot_path, std::ios::binary); probe) {
       try {
         if (snapshot_mmap) {
-          // Near-instant restart: borrow the mapped v3 columns instead of
+          // Near-instant restart: borrow the mapped columns instead of
           // decoding them into heap state.  The first INGEST detaches.
           const auto mapped = serve::MappedSnapshot::open(*snapshot_path);
           classifier = core::IncrementalClassifier(
@@ -727,7 +710,6 @@ int cmd_serve(int argc, char** argv) {
   cfg.shards = static_cast<unsigned>(*shards);
   cfg.read_timeout_ms = static_cast<int>(*read_timeout);
   cfg.snapshot_interval_s = static_cast<unsigned>(*interval);
-  cfg.snapshot_format = snapshot_format;
   if (snapshot_path) cfg.snapshot_path = *snapshot_path;
 
   serve::Server server(std::move(classifier), cfg);
@@ -1255,8 +1237,8 @@ int cmd_help() {
       "      [--listen ADDR] [--port N] [--shards N]  (--port 0 prints\n"
       "      'LISTENING <port>' on stdout once bound)\n"
       "      [--snapshot file.snap] [--snapshot-interval SECONDS]\n"
-      "      [--snapshot-format v2|v3] [--snapshot-mmap]  (v3 + mmap =\n"
-      "      near-instant restart, pages shared across processes)\n"
+      "      [--snapshot-mmap]  (near-instant restart, pages shared\n"
+      "      across processes)\n"
       "      [--read-timeout MS] [--gap N] [--threshold R]\n"
       "      [--no-siblings] [--mean-ratios]\n"
       "      [--tolerant] [--max-errors N] [--max-error-frac R]\n"

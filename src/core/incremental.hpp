@@ -165,12 +165,12 @@ class IncrementalClassifier {
   void restore_state(const State& state);
 
   /// restore_state plus an imported interned-path table (PathIds
-  /// preserved).  The v3 snapshot decoder uses this so a restored
+  /// preserved).  The snapshot decoder uses this so a restored
   /// classifier skips re-interning the live feed's repeat paths; with an
   /// empty table behaviour is identical to restore_state(state) alone.
   void restore_state(const State& state, bgp::PathTable paths);
 
-  // --- borrowed columnar state (snapshot v3, core/state_view.hpp) ---
+  // --- borrowed columnar state (serve snapshot, core/state_view.hpp) ---
   //
   // restore_view() replaces all owned evidence with a borrowed view: the
   // read-side API (label_of / totals / label_snapshot / settle_dirty /
@@ -195,7 +195,7 @@ class IncrementalClassifier {
     return view_;
   }
 
-  /// The interned-path storage decomposed into flat columns (the v3
+  /// The interned-path storage decomposed into flat columns (the
   /// snapshot writer persists exactly this).  When borrowed, the arena
   /// spans alias the view's backing bytes; otherwise they alias the live
   /// owned table, valid until the next ingest.

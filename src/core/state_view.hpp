@@ -1,9 +1,9 @@
-// Borrowed columnar classifier state (snapshot format v3).
+// Borrowed columnar classifier state (the serve snapshot image).
 //
 // IncrementalClassifier::State is the *owned* flattened form of the
 // classifier: vectors of vectors, rebuilt into hash maps on restore.  A
 // StateView is the same information as flat primitive columns borrowed
-// from somewhere else — in practice an mmap'd v3 snapshot
+// from somewhere else — in practice an mmap'd snapshot
 // (serve::MappedSnapshot) — plus a keep-alive handle that pins the
 // backing bytes.  The classifier can serve LABEL/TOTALS directly off a
 // view with zero decode work and detaches (copies into owned state) only

@@ -34,7 +34,7 @@ namespace bgpintent::serve {
 /// Two storage shapes share this struct.  The common one is the owned
 /// hash map.  The zero-copy one — the initial epoch of a server started
 /// with --snapshot-mmap — is a pair of sorted parallel columns borrowed
-/// straight from a mapped v3 snapshot (serve::MappedSnapshot), with
+/// straight from a mapped snapshot (serve::MappedSnapshot), with
 /// `backing` pinning the mapping; `labels` is empty then and lookups
 /// binary-search the columns, so the first query after restart touches
 /// only the pages it needs.

@@ -15,6 +15,7 @@
 
 #include "serve/binary.hpp"
 #include "serve/snapshot.hpp"
+#include "util/file.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -1129,9 +1130,9 @@ void Server::write_snapshot_file(const std::string& path) {
   std::vector<std::uint8_t> bytes;
   {
     const std::lock_guard<std::mutex> lock(classifier_mutex_);
-    bytes = encode_snapshot(classifier_, config_.snapshot_format);
+    bytes = encode_snapshot(classifier_);
   }
-  write_snapshot_bytes(bytes, path);
+  util::write_file_durably<SnapshotError>(path, bytes);
 }
 
 ServerStats Server::stats() const {

@@ -69,7 +69,6 @@
 #include "core/incremental.hpp"
 #include "serve/labels.hpp"
 #include "serve/protocol.hpp"
-#include "serve/snapshot.hpp"
 #include "stream/engine.hpp"
 
 namespace bgpintent::serve {
@@ -88,12 +87,6 @@ struct ServerConfig {
   unsigned snapshot_interval_s = 0;
   /// Snapshot destination; empty disables automatic snapshots.
   std::string snapshot_path;
-  /// On-disk format for every snapshot this server writes (the SNAPSHOT
-  /// command, the periodic timer, and the final shutdown snapshot).  kV2
-  /// stays the default so snapshots remain exchangeable with older
-  /// builds; kV3 produces the columnar image --snapshot-mmap restarts
-  /// from.
-  SnapshotFormat snapshot_format = SnapshotFormat::kV2;
   /// Per-subscriber outbox cap: once a subscriber's unsent bytes reach
   /// this, no further events are queued for it (backpressure falls to the
   /// engine's event ring); a capped subscriber that also falls off the

@@ -1,258 +1,42 @@
 #include "serve/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <ostream>
 
-#include "mrt/buffer.hpp"
+#include "util/bytes.hpp"
+#include "util/checksum.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::serve {
 
-// The v3 reader hands out typed spans straight into the file image, so it
-// only works where the in-memory representation *is* the on-disk one.
+// The mapped reader hands out typed spans straight into the file image, so
+// it only works where the in-memory representation *is* the on-disk one.
 static_assert(std::endian::native == std::endian::little,
-              "snapshot v3 mmap reading requires a little-endian host");
+              "snapshot mmap reading requires a little-endian host");
 
 namespace {
 
+using Cursor = util::ByteReader<SnapshotError>;
+using util::put;
+using util::put_double;
+
 constexpr char kMagic[8] = {'B', 'G', 'P', 'I', 'S', 'N', 'A', 'P'};
-constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;  // v2 header
 
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-// v3 segment checksum: a 4-lane multiply-mix over 64-bit words.  The v3
-// reader verifies every segment on open, so the checksum sits directly on
-// the restart-to-first-query path and byte-at-a-time FNV (the v2 payload
-// checksum above) would dominate it — on the committed restart baseline
-// FNV alone cost ~8ms of a 9ms open.  Each lane's odd-constant multiply
-// is bijective, so any single corrupted word changes its lane's value
-// and the final xor-shift mix avalanches it across the digest; bit flips,
-// truncations, and splices all land in a different digest just as they
-// would under FNV.
-[[nodiscard]] std::uint64_t checksum64(std::span<const std::uint8_t> bytes) {
-  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t lanes[4] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
-                            0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL};
-  const std::uint8_t* p = bytes.data();
-  std::size_t remaining = bytes.size();
-  while (remaining >= 32) {
-    for (auto& lane : lanes) {
-      std::uint64_t word;
-      std::memcpy(&word, p, 8);
-      lane = (lane ^ word) * kMul;
-      p += 8;
-    }
-    remaining -= 32;
-  }
-  // Tail: fold the leftover bytes (and the total length, so images that
-  // differ only by trailing truncation cannot collide) into lane 0.
-  std::uint64_t tail = bytes.size();
-  for (std::size_t i = 0; i < remaining; ++i)
-    tail = (tail << 8) ^ p[i] ^ (tail >> 56);
-  lanes[0] = (lanes[0] ^ tail) * kMul;
-  std::uint64_t hash =
-      (lanes[0] ^ lanes[1]) * kMul ^ (lanes[2] ^ lanes[3]) * kMul;
-  hash ^= hash >> 32;
-  hash *= kMul;
-  hash ^= hash >> 29;
-  return hash;
-}
-
-// Little-endian integer append / bounds-checked read.
-
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T value) {
-  static_assert(std::is_unsigned_v<T>);
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void put_double(std::vector<std::uint8_t>& out, double value) {
-  put(out, std::bit_cast<std::uint64_t>(value));
-}
-
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  [[nodiscard]] T get() {
-    static_assert(std::is_unsigned_v<T>);
-    if (bytes_.size() - offset_ < sizeof(T))
-      throw SnapshotError("truncated snapshot payload");
-    std::uint64_t value = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      value |= static_cast<std::uint64_t>(bytes_[offset_ + i]) << (8 * i);
-    offset_ += sizeof(T);
-    return static_cast<T>(value);
-  }
-
-  [[nodiscard]] double get_double() {
-    return std::bit_cast<double>(get<std::uint64_t>());
-  }
-
-  /// Reads a count that is about to drive `element_bytes`-sized reads;
-  /// rejects counts the remaining payload cannot possibly hold, so corrupt
-  /// counts fail fast instead of attempting a huge allocation.
-  [[nodiscard]] std::size_t get_count(std::size_t element_bytes) {
-    const std::uint64_t count = get<std::uint64_t>();
-    if (element_bytes != 0 && count > remaining() / element_bytes)
-      throw SnapshotError("snapshot count exceeds payload size");
-    return static_cast<std::size_t>(count);
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - offset_;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// v2: row-oriented payload (byte-identical to what pre-v3 builds wrote).
-
-void encode_payload(std::vector<std::uint8_t>& out,
-                    const core::IncrementalClassifier& classifier) {
-  const core::ClassifierConfig& config = classifier.classifier_config();
-  const core::ObservationConfig& observation =
-      classifier.observation_config();
-  put<std::uint32_t>(out, config.min_gap);
-  put_double(out, config.ratio_threshold);
-  put<std::uint8_t>(out, config.mean_of_ratios ? 1 : 0);
-  put<std::uint8_t>(out, observation.sibling_aware ? 1 : 0);
-
-  const auto state = classifier.export_state();
-  put<std::uint64_t>(out, state.entries_ingested);
-  put<std::uint64_t>(out, state.decode_records_ok);
-  put<std::uint64_t>(out, state.decode_records_skipped);
-
-  put<std::uint64_t>(out, state.asns_on_paths.size());
-  for (const bgp::Asn asn : state.asns_on_paths) put<std::uint32_t>(out, asn);
-
-  put<std::uint64_t>(out, state.dirty.size());
-  for (const std::uint16_t alpha : state.dirty) put<std::uint16_t>(out, alpha);
-
-  put<std::uint64_t>(out, state.alphas.size());
-  for (const auto& alpha : state.alphas) {
-    put<std::uint16_t>(out, alpha.alpha);
-    put<std::uint64_t>(out, alpha.betas.size());
-    for (const auto& evidence : alpha.betas) {
-      put<std::uint16_t>(out, evidence.beta);
-      put<std::uint64_t>(out, evidence.on_paths.size());
-      for (const std::uint64_t hash : evidence.on_paths)
-        put<std::uint64_t>(out, hash);
-      put<std::uint64_t>(out, evidence.off_paths.size());
-      for (const std::uint64_t hash : evidence.off_paths)
-        put<std::uint64_t>(out, hash);
-    }
-    put<std::uint64_t>(out, alpha.labels.size());
-    for (const auto& [beta, intent] : alpha.labels) {
-      put<std::uint16_t>(out, beta);
-      put<std::uint8_t>(out, static_cast<std::uint8_t>(intent));
-    }
-  }
-}
-
-[[nodiscard]] core::IncrementalClassifier decode_payload(Cursor& cursor) {
-  core::ClassifierConfig config;
-  config.min_gap = cursor.get<std::uint32_t>();
-  config.ratio_threshold = cursor.get_double();
-  config.mean_of_ratios = cursor.get<std::uint8_t>() != 0;
-  core::ObservationConfig observation;
-  observation.sibling_aware = cursor.get<std::uint8_t>() != 0;
-
-  core::IncrementalClassifier::State state;
-  state.entries_ingested = cursor.get<std::uint64_t>();
-  state.decode_records_ok = cursor.get<std::uint64_t>();
-  state.decode_records_skipped = cursor.get<std::uint64_t>();
-
-  state.asns_on_paths.resize(cursor.get_count(sizeof(std::uint32_t)));
-  for (bgp::Asn& asn : state.asns_on_paths)
-    asn = cursor.get<std::uint32_t>();
-
-  state.dirty.resize(cursor.get_count(sizeof(std::uint16_t)));
-  for (std::uint16_t& alpha : state.dirty)
-    alpha = cursor.get<std::uint16_t>();
-
-  state.alphas.resize(cursor.get_count(sizeof(std::uint16_t)));
-  for (auto& alpha : state.alphas) {
-    alpha.alpha = cursor.get<std::uint16_t>();
-    alpha.betas.resize(cursor.get_count(sizeof(std::uint16_t)));
-    for (auto& evidence : alpha.betas) {
-      evidence.beta = cursor.get<std::uint16_t>();
-      evidence.on_paths.resize(cursor.get_count(sizeof(std::uint64_t)));
-      for (std::uint64_t& hash : evidence.on_paths)
-        hash = cursor.get<std::uint64_t>();
-      evidence.off_paths.resize(cursor.get_count(sizeof(std::uint64_t)));
-      for (std::uint64_t& hash : evidence.off_paths)
-        hash = cursor.get<std::uint64_t>();
-    }
-    alpha.labels.resize(cursor.get_count(3));
-    for (auto& [beta, intent] : alpha.labels) {
-      beta = cursor.get<std::uint16_t>();
-      const std::uint8_t raw = cursor.get<std::uint8_t>();
-      if (raw > static_cast<std::uint8_t>(core::Intent::kUnclassified))
-        throw SnapshotError(
-            util::format("snapshot label byte %u is not a valid intent", raw));
-      intent = static_cast<core::Intent>(raw);
-    }
-  }
-  if (cursor.remaining() != 0)
-    throw SnapshotError("snapshot payload has trailing bytes");
-
-  core::IncrementalClassifier classifier(config, observation);
-  classifier.restore_state(state);
-  return classifier;
-}
-
-[[nodiscard]] std::vector<std::uint8_t> encode_snapshot_v2(
-    const core::IncrementalClassifier& classifier) {
-  std::vector<std::uint8_t> payload;
-  encode_payload(payload, classifier);
-
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size());
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put<std::uint32_t>(out, kSnapshotVersionMin);
-  put<std::uint64_t>(out, fnv1a64(payload));
-  put<std::uint64_t>(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// v3: columnar image (see snapshot.hpp for the byte layout).
-
-constexpr std::size_t kV3HeaderBytes = 16;
-constexpr std::size_t kV3Align = 64;
-constexpr std::size_t kV3EntryBytes = 32;
-constexpr std::size_t kV3FooterBytes = 32;
-constexpr std::size_t kV3MetaBytes = 40;
-constexpr std::uint32_t kV3FooterMagic = 0x33504e53;  // "SNP3" little-endian
+constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kAlign = 64;
+constexpr std::size_t kEntryBytes = 32;
+constexpr std::size_t kFooterBytes = 32;
+constexpr std::size_t kMetaBytes = 40;
+constexpr std::uint32_t kFooterMagic = 0x33504e53;  // "SNP3" little-endian
 
 // Segment kinds, in the exact order they appear in the file and in the
 // segment table.  The table of one entry per kind is what makes the image
 // self-describing; the reader insists on exactly this set in this order so
 // a corrupt table cannot silently drop or duplicate a column.
-enum V3Kind : std::uint32_t {
+enum SegmentKind : std::uint32_t {
   kSegMeta = 1,
   kSegAsnsOnPaths,
   kSegDirtyAlphas,
@@ -281,12 +65,12 @@ enum V3Kind : std::uint32_t {
   kSegPathHashes,
 };
 
-struct V3KindInfo {
+struct KindInfo {
   const char* name;
   std::size_t width;  ///< element width in bytes
 };
-constexpr V3KindInfo kV3Kinds[] = {
-    {"meta", kV3MetaBytes},
+constexpr KindInfo kSegmentKinds[] = {
+    {"meta", kMetaBytes},
     {"asns_on_paths", 4},
     {"dirty_alphas", 2},
     {"alpha_ids", 2},
@@ -313,15 +97,17 @@ constexpr V3KindInfo kV3Kinds[] = {
     {"path_uniq_count", 4},
     {"path_hashes", 8},
 };
-constexpr std::size_t kV3SegmentCount = std::size(kV3Kinds);
+constexpr std::size_t kSegmentCount = std::size(kSegmentKinds);
 
 [[nodiscard]] SnapshotError region_error(std::size_t kind_index,
                                          const char* what) {
-  return SnapshotError(util::format("snapshot v3 segment '%s' %s",
-                                    kV3Kinds[kind_index].name, what));
+  return SnapshotError(util::format("snapshot segment '%s' %s",
+                                    kSegmentKinds[kind_index].name, what));
 }
 
-[[nodiscard]] std::vector<std::uint8_t> encode_snapshot_v3(
+}  // namespace
+
+std::vector<std::uint8_t> encode_snapshot(
     const core::IncrementalClassifier& classifier) {
   const core::ClassifierConfig& config = classifier.classifier_config();
   const core::ObservationConfig& observation =
@@ -375,7 +161,7 @@ constexpr std::size_t kV3SegmentCount = std::size(kV3Kinds);
   }
 
   std::vector<std::uint8_t> meta;
-  meta.reserve(kV3MetaBytes);
+  meta.reserve(kMetaBytes);
   put<std::uint32_t>(meta, config.min_gap);
   put<std::uint8_t>(meta, config.mean_of_ratios ? 1 : 0);
   put<std::uint8_t>(meta, observation.sibling_aware ? 1 : 0);
@@ -387,7 +173,7 @@ constexpr std::size_t kV3SegmentCount = std::size(kV3Kinds);
 
   std::vector<std::uint8_t> out;
   for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(SnapshotFormat::kV3));
+  put<std::uint32_t>(out, kSnapshotVersion);
   put<std::uint32_t>(out, 0);  // flags, reserved
 
   struct Entry {
@@ -397,16 +183,16 @@ constexpr std::size_t kV3SegmentCount = std::size(kV3Kinds);
     std::uint64_t checksum = 0;
   };
   std::vector<Entry> entries;
-  entries.reserve(kV3SegmentCount);
-  const auto append_segment = [&](V3Kind kind, const void* data,
+  entries.reserve(kSegmentCount);
+  const auto append_segment = [&](SegmentKind kind, const void* data,
                                   std::size_t byte_size) {
-    while (out.size() % kV3Align != 0) out.push_back(0);
+    while (out.size() % kAlign != 0) out.push_back(0);
     const auto* p = static_cast<const std::uint8_t*>(data);
     entries.push_back(Entry{kind, out.size(), byte_size,
-                            checksum64({p, byte_size})});
+                            util::xxh64({p, byte_size})});
     if (byte_size != 0) out.insert(out.end(), p, p + byte_size);
   };
-  const auto append_column = [&](V3Kind kind, const auto& column) {
+  const auto append_column = [&](SegmentKind kind, const auto& column) {
     append_segment(kind, column.data(),
                    column.size() * sizeof(*column.data()));
   };
@@ -441,11 +227,11 @@ constexpr std::size_t kV3SegmentCount = std::size(kV3Kinds);
   while (out.size() % 8 != 0) out.push_back(0);
   const std::uint64_t table_offset = out.size();
   std::vector<std::uint8_t> table;
-  table.reserve(kV3SegmentCount * kV3EntryBytes);
+  table.reserve(kSegmentCount * kEntryBytes);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     put<std::uint32_t>(table, entries[i].kind);
     put<std::uint32_t>(table,
-                       static_cast<std::uint32_t>(kV3Kinds[i].width));
+                       static_cast<std::uint32_t>(kSegmentKinds[i].width));
     put<std::uint64_t>(table, entries[i].offset);
     put<std::uint64_t>(table, entries[i].size);
     put<std::uint64_t>(table, entries[i].checksum);
@@ -453,29 +239,31 @@ constexpr std::size_t kV3SegmentCount = std::size(kV3Kinds);
   out.insert(out.end(), table.begin(), table.end());
 
   put<std::uint64_t>(out, table_offset);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(kV3SegmentCount));
-  put<std::uint32_t>(out, kV3FooterMagic);
-  put<std::uint64_t>(out, checksum64(table));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(kSegmentCount));
+  put<std::uint32_t>(out, kFooterMagic);
+  put<std::uint64_t>(out, util::xxh64(table));
   put<std::uint64_t>(out, out.size() + 8);  // total size incl. this field
   return out;
 }
 
+namespace {
+
 /// One parsed segment: its table entry plus the mapped byte range.
-struct V3Segment {
+struct Segment {
   std::span<const std::uint8_t> bytes;
   std::size_t count = 0;  ///< element count (bytes / width)
 };
 
-struct ParsedV3 {
+struct ParsedImage {
   core::ClassifierConfig config;
   core::ObservationConfig observation;
   core::StateColumns columns;
-  std::array<V3Segment, kV3SegmentCount> segments;
+  std::array<Segment, kSegmentCount> segments;
   std::size_t table_offset = 0;
 };
 
 template <typename T>
-[[nodiscard]] std::span<const T> typed(const V3Segment& segment) noexcept {
+[[nodiscard]] std::span<const T> typed(const Segment& segment) noexcept {
   return {reinterpret_cast<const T*>(segment.bytes.data()), segment.count};
 }
 
@@ -507,54 +295,70 @@ void check_intent_bytes(std::span<const std::uint8_t> bytes,
       throw region_error(kind_index, "holds an invalid intent byte");
 }
 
-/// Full parse + validation of a v3 image (magic and version already
-/// checked by the caller).  The returned columns alias `bytes`.
-[[nodiscard]] ParsedV3 parse_v3(std::span<const std::uint8_t> bytes,
-                                bool verify_segment_checksums) {
-  if (bytes.size() <
-      kV3HeaderBytes + kV3SegmentCount * kV3EntryBytes + kV3FooterBytes)
+/// Full parse + validation of an image.  The returned columns alias
+/// `bytes`.  Every version but kSnapshotVersion is refused; older ones get
+/// re-ingest guidance, because their layouts or checksums differ and
+/// reading them as this version would misinterpret evidence rather than
+/// fail.
+[[nodiscard]] ParsedImage parse_image(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kHeaderBytes)
+    throw SnapshotError(
+        util::format("snapshot header truncated (%zu of %zu bytes)",
+                     bytes.size(), kHeaderBytes));
+  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
+    throw SnapshotError("not a bgpintent snapshot (bad magic)");
+  Cursor header(bytes.subspan(sizeof kMagic, 8), "snapshot");
+  const std::uint32_t version = header.get<std::uint32_t>();
+  if (version > kSnapshotVersion)
     throw SnapshotError(util::format(
-        "snapshot v3 image truncated (%zu bytes)", bytes.size()));
-  {
-    Cursor flags_cursor(bytes.subspan(12, 4));
-    const std::uint32_t flags = flags_cursor.get<std::uint32_t>();
-    if (flags != 0)
-      throw SnapshotError(
-          util::format("snapshot v3 header has unsupported flags 0x%x",
-                       flags));
-  }
+        "snapshot format version %u is newer than supported version %u",
+        version, kSnapshotVersion));
+  if (version < kSnapshotVersion)
+    throw SnapshotError(util::format(
+        "snapshot format version %u is no longer supported (this build "
+        "reads version %u only; re-ingest the source data to produce a "
+        "fresh snapshot)",
+        version, kSnapshotVersion));
+  const std::uint32_t flags = header.get<std::uint32_t>();
+  if (flags != 0)
+    throw SnapshotError(util::format(
+        "snapshot header has unsupported flags 0x%x", flags));
+  if (bytes.size() <
+      kHeaderBytes + kSegmentCount * kEntryBytes + kFooterBytes)
+    throw SnapshotError(util::format(
+        "snapshot image truncated (%zu bytes)", bytes.size()));
 
-  Cursor footer(bytes.subspan(bytes.size() - kV3FooterBytes));
+  Cursor footer(bytes.subspan(bytes.size() - kFooterBytes), "snapshot");
   const std::uint64_t table_offset = footer.get<std::uint64_t>();
   const std::uint32_t seg_count = footer.get<std::uint32_t>();
   const std::uint32_t footer_magic = footer.get<std::uint32_t>();
   const std::uint64_t table_checksum = footer.get<std::uint64_t>();
   const std::uint64_t total_size = footer.get<std::uint64_t>();
-  if (footer_magic != kV3FooterMagic)
-    throw SnapshotError("snapshot v3 footer magic mismatch");
+  if (footer_magic != kFooterMagic)
+    throw SnapshotError("snapshot footer magic mismatch");
   if (total_size != bytes.size())
     throw SnapshotError(util::format(
-        "snapshot v3 footer promises %llu bytes but the image has %zu "
+        "snapshot footer promises %llu bytes but the image has %zu "
         "(truncated or trailing bytes)",
         static_cast<unsigned long long>(total_size), bytes.size()));
-  if (seg_count != kV3SegmentCount)
+  if (seg_count != kSegmentCount)
     throw SnapshotError(util::format(
-        "snapshot v3 footer declares %u segments, expected %zu", seg_count,
-        kV3SegmentCount));
-  if (table_offset < kV3HeaderBytes ||
-      table_offset + kV3SegmentCount * kV3EntryBytes !=
-          bytes.size() - kV3FooterBytes)
-    throw SnapshotError("snapshot v3 segment table offset out of place");
+        "snapshot footer declares %u segments, expected %zu", seg_count,
+        kSegmentCount));
+  if (table_offset < kHeaderBytes ||
+      table_offset + kSegmentCount * kEntryBytes !=
+          bytes.size() - kFooterBytes)
+    throw SnapshotError("snapshot segment table offset out of place");
   const auto table_bytes = bytes.subspan(
-      static_cast<std::size_t>(table_offset), kV3SegmentCount * kV3EntryBytes);
-  if (checksum64(table_bytes) != table_checksum)
-    throw SnapshotError("snapshot v3 segment table checksum mismatch");
+      static_cast<std::size_t>(table_offset), kSegmentCount * kEntryBytes);
+  if (util::xxh64(table_bytes) != table_checksum)
+    throw SnapshotError("snapshot segment table checksum mismatch");
 
-  ParsedV3 parsed;
+  ParsedImage parsed;
   parsed.table_offset = static_cast<std::size_t>(table_offset);
-  Cursor table(table_bytes);
-  std::size_t previous_end = kV3HeaderBytes;
-  for (std::size_t i = 0; i < kV3SegmentCount; ++i) {
+  Cursor table(table_bytes, "snapshot");
+  std::size_t previous_end = kHeaderBytes;
+  for (std::size_t i = 0; i < kSegmentCount; ++i) {
     const std::uint32_t kind = table.get<std::uint32_t>();
     const std::uint32_t width = table.get<std::uint32_t>();
     const std::uint64_t offset = table.get<std::uint64_t>();
@@ -562,9 +366,9 @@ void check_intent_bytes(std::span<const std::uint8_t> bytes,
     const std::uint64_t checksum = table.get<std::uint64_t>();
     if (kind != i + 1)
       throw region_error(i, "has an unexpected kind in the segment table");
-    if (width != kV3Kinds[i].width)
+    if (width != kSegmentKinds[i].width)
       throw region_error(i, "has an unexpected element width");
-    if (offset % kV3Align != 0)
+    if (offset % kAlign != 0)
       throw region_error(i, "is not 64-byte aligned");
     if (offset < previous_end || offset > table_offset ||
         size > table_offset - offset)
@@ -579,22 +383,22 @@ void check_intent_bytes(std::span<const std::uint8_t> bytes,
     const auto segment_bytes =
         bytes.subspan(static_cast<std::size_t>(offset),
                       static_cast<std::size_t>(size));
-    if (verify_segment_checksums && checksum64(segment_bytes) != checksum)
+    if (util::xxh64(segment_bytes) != checksum)
       throw region_error(i, "checksum mismatch (corrupt file)");
     parsed.segments[i] =
-        V3Segment{segment_bytes, static_cast<std::size_t>(size / width)};
+        Segment{segment_bytes, static_cast<std::size_t>(size / width)};
     previous_end = static_cast<std::size_t>(offset + size);
   }
   for (std::size_t pad = previous_end; pad < table_offset; ++pad)
     if (bytes[pad] != 0)
       throw SnapshotError(
-          "snapshot v3 has non-zero padding before the segment table");
+          "snapshot has non-zero padding before the segment table");
 
   // Meta: fixed-size scalar block.
-  const V3Segment& meta = parsed.segments[kSegMeta - 1];
+  const Segment& meta = parsed.segments[kSegMeta - 1];
   if (meta.count != 1)
     throw region_error(kSegMeta - 1, "must hold exactly one record");
-  Cursor meta_cursor(meta.bytes);
+  Cursor meta_cursor(meta.bytes, "snapshot");
   parsed.config.min_gap = meta_cursor.get<std::uint32_t>();
   parsed.config.mean_of_ratios = meta_cursor.get<std::uint8_t>() != 0;
   parsed.observation.sibling_aware = meta_cursor.get<std::uint8_t>() != 0;
@@ -733,34 +537,11 @@ void check_intent_bytes(std::span<const std::uint8_t> bytes,
   return parsed;
 }
 
-/// Shared front matter: checks the magic, reads the version, and applies
-/// the version-switch policy.  Returns the version on success (2 or 3).
-[[nodiscard]] std::uint32_t check_header(
-    std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 12)
-    throw SnapshotError(
-        util::format("snapshot header truncated (%zu of %zu bytes)",
-                     bytes.size(), kHeaderBytes));
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
-    throw SnapshotError("not a bgpintent snapshot (bad magic)");
-  Cursor version_cursor(bytes.subspan(sizeof kMagic, 4));
-  const std::uint32_t version = version_cursor.get<std::uint32_t>();
-  if (version > kSnapshotVersion)
-    throw SnapshotError(util::format(
-        "snapshot format version %u is newer than supported version %u",
-        version, kSnapshotVersion));
-  if (version < kSnapshotVersionMin)
-    throw SnapshotError(util::format(
-        "snapshot format version %u is no longer supported (this build "
-        "reads versions %u through %u; re-ingest the source data to "
-        "produce a fresh snapshot)",
-        version, kSnapshotVersionMin, kSnapshotVersion));
-  return version;
-}
+}  // namespace
 
-[[nodiscard]] core::IncrementalClassifier decode_snapshot_v3(
+core::IncrementalClassifier decode_snapshot(
     std::span<const std::uint8_t> bytes) {
-  const ParsedV3 parsed = parse_v3(bytes, /*verify_segment_checksums=*/true);
+  const ParsedImage parsed = parse_image(bytes);
   // Heap decode: materialize owned state + the interned-path table from a
   // throwaway view over the caller's bytes.
   const core::StateView view(parsed.columns, nullptr);
@@ -769,7 +550,7 @@ void check_intent_bytes(std::span<const std::uint8_t> bytes,
     paths = view.materialize_paths();
   } catch (const std::invalid_argument& error) {
     throw SnapshotError(
-        util::format("snapshot v3 path columns are inconsistent: %s",
+        util::format("snapshot path columns are inconsistent: %s",
                      error.what()));
   }
   core::IncrementalClassifier classifier(parsed.config, parsed.observation);
@@ -777,120 +558,16 @@ void check_intent_bytes(std::span<const std::uint8_t> bytes,
   return classifier;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_snapshot(
-    const core::IncrementalClassifier& classifier, SnapshotFormat format) {
-  return format == SnapshotFormat::kV3 ? encode_snapshot_v3(classifier)
-                                       : encode_snapshot_v2(classifier);
-}
-
-core::IncrementalClassifier decode_snapshot(
-    std::span<const std::uint8_t> bytes) {
-  const std::uint32_t version = check_header(bytes);
-  if (version == static_cast<std::uint32_t>(SnapshotFormat::kV3))
-    return decode_snapshot_v3(bytes);
-
-  if (bytes.size() < kHeaderBytes)
-    throw SnapshotError(
-        util::format("snapshot header truncated (%zu of %zu bytes)",
-                     bytes.size(), kHeaderBytes));
-  Cursor header(bytes.subspan(12, kHeaderBytes - 12));
-  const std::uint64_t checksum = header.get<std::uint64_t>();
-  const std::uint64_t payload_size = header.get<std::uint64_t>();
-
-  const auto payload = bytes.subspan(kHeaderBytes);
-  if (payload.size() != payload_size)
-    throw SnapshotError(util::format(
-        "snapshot payload is %zu bytes but the header promises %llu",
-        payload.size(), static_cast<unsigned long long>(payload_size)));
-  if (fnv1a64(payload) != checksum)
-    throw SnapshotError("snapshot checksum mismatch (corrupt file)");
-
-  Cursor cursor(payload);
-  return decode_payload(cursor);
-}
-
 void save_snapshot(const core::IncrementalClassifier& classifier,
-                   std::ostream& out, SnapshotFormat format) {
-  const auto bytes = encode_snapshot(classifier, format);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw SnapshotError("failed to write snapshot stream");
-}
-
-core::IncrementalClassifier load_snapshot(std::istream& in) {
-  std::vector<std::uint8_t> bytes;
-  char buffer[64 * 1024];
-  while (in.read(buffer, sizeof buffer) || in.gcount() > 0)
-    bytes.insert(bytes.end(), buffer, buffer + in.gcount());
-  if (in.bad()) throw SnapshotError("failed to read snapshot stream");
-  return decode_snapshot(bytes);
-}
-
-void save_snapshot(const core::IncrementalClassifier& classifier,
-                   const std::string& path, SnapshotFormat format) {
-  write_snapshot_bytes(encode_snapshot(classifier, format), path);
-}
-
-void write_snapshot_bytes(std::span<const std::uint8_t> bytes,
-                          const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw SnapshotError(
-          util::format("cannot open %s for writing", tmp.c_str()));
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw SnapshotError(util::format("failed to write %s", tmp.c_str()));
-    }
-  }
-  // Durability contract (mirrors stream/checkpoint.cpp): the tmp file's
-  // bytes must be on stable storage *before* the rename makes them the
-  // snapshot, and the rename itself must be journaled by fsyncing the
-  // parent directory *after* — otherwise a power cut can leave the path
-  // pointing at a file whose content (or whose directory entry) never hit
-  // the disk.
-  {
-    const int fd = ::open(tmp.c_str(), O_RDONLY);
-    if (fd < 0) {
-      std::remove(tmp.c_str());
-      throw SnapshotError(
-          util::format("cannot reopen %s for fsync", tmp.c_str()));
-    }
-    const int rc = ::fsync(fd);
-    ::close(fd);
-    if (rc != 0) {
-      std::remove(tmp.c_str());
-      throw SnapshotError(util::format("fsync of %s failed", tmp.c_str()));
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw SnapshotError(
-        util::format("cannot rename %s to %s", tmp.c_str(), path.c_str()));
-  }
-  const std::string parent =
-      std::filesystem::path(path).parent_path().string();
-  const int dir_fd =
-      ::open(parent.empty() ? "." : parent.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {  // best effort: some filesystems refuse dir fsync
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
+                   const std::string& path) {
+  util::write_file_durably<SnapshotError>(path, encode_snapshot(classifier));
 }
 
 core::IncrementalClassifier load_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw SnapshotError(util::format("cannot open %s", path.c_str()));
-  return load_snapshot(in);
+  return decode_snapshot(util::read_file<SnapshotError>(path));
 }
 
-std::shared_ptr<MappedSnapshot> MappedSnapshot::open(
-    const std::string& path, MappedSnapshotOptions options) {
+std::shared_ptr<MappedSnapshot> MappedSnapshot::open(const std::string& path) {
   std::unique_ptr<const mrt::ByteSource> source;
   try {
     source = mrt::open_source(path, /*allow_mmap=*/true);
@@ -898,15 +575,7 @@ std::shared_ptr<MappedSnapshot> MappedSnapshot::open(
     throw SnapshotError(util::format("cannot map snapshot %s: %s",
                                      path.c_str(), error.what()));
   }
-  const auto bytes = source->data();
-  const std::uint32_t version = check_header(bytes);
-  if (version != static_cast<std::uint32_t>(SnapshotFormat::kV3))
-    throw SnapshotError(util::format(
-        "snapshot %s is format version %u, which cannot be served from a "
-        "mapping; re-save it as v3 (serve --snapshot-format v3) to use "
-        "--snapshot-mmap",
-        path.c_str(), version));
-  ParsedV3 parsed = parse_v3(bytes, options.verify_segment_checksums);
+  ParsedImage parsed = parse_image(source->data());
   return std::make_shared<MappedSnapshot>(Private{}, std::move(source),
                                           parsed.config, parsed.observation,
                                           parsed.columns);
@@ -916,25 +585,22 @@ std::shared_ptr<const core::StateView> MappedSnapshot::state_view() const {
   return std::make_shared<core::StateView>(columns_, shared_from_this());
 }
 
-std::vector<SnapshotRegion> snapshot_v3_regions(
+std::vector<SnapshotRegion> snapshot_regions(
     std::span<const std::uint8_t> bytes) {
-  const std::uint32_t version = check_header(bytes);
-  if (version != static_cast<std::uint32_t>(SnapshotFormat::kV3))
-    throw SnapshotError("snapshot_v3_regions needs a v3 image");
-  const ParsedV3 parsed = parse_v3(bytes, /*verify_segment_checksums=*/true);
+  const ParsedImage parsed = parse_image(bytes);
   std::vector<SnapshotRegion> regions;
-  regions.reserve(kV3SegmentCount + 2);
-  for (std::size_t i = 0; i < kV3SegmentCount; ++i) {
-    const V3Segment& segment = parsed.segments[i];
+  regions.reserve(kSegmentCount + 2);
+  for (std::size_t i = 0; i < kSegmentCount; ++i) {
+    const Segment& segment = parsed.segments[i];
     regions.push_back(SnapshotRegion{
-        kV3Kinds[i].name,
+        kSegmentKinds[i].name,
         static_cast<std::size_t>(segment.bytes.data() - bytes.data()),
         segment.bytes.size()});
   }
   regions.push_back(SnapshotRegion{"segment_table", parsed.table_offset,
-                                   kV3SegmentCount * kV3EntryBytes});
+                                   kSegmentCount * kEntryBytes});
   regions.push_back(SnapshotRegion{
-      "footer", bytes.size() - kV3FooterBytes, kV3FooterBytes});
+      "footer", bytes.size() - kFooterBytes, kFooterBytes});
   return regions;
 }
 

@@ -3,48 +3,37 @@
 // The serve daemon must survive restarts without replaying weeks of BGP
 // data, so the complete classifier state — configs, per-community path-hash
 // accumulators, cached labels, dirty set, interned-path arenas, ingest
-// counter — round-trips through a self-describing binary file.  Two
-// formats are readable (docs/SERVING.md §3 spells out both layouts):
+// counter — round-trips through one self-describing columnar image
+// (docs/SERVING.md §3 spells out the layout):
 //
-//   v2 — row-oriented:
 //     offset  size  field
 //     0       8     magic "BGPISNAP"
-//     8       4     format version (u32 LE, = 2)
-//     12      8     FNV-1a-64 checksum of the payload bytes (u64 LE)
-//     20      8     payload size in bytes (u64 LE)
-//     28      ...   payload (length-prefixed records, decoded one by one)
-//
-//   v3 — columnar, written for mmap:
-//     0       8     magic "BGPISNAP"
-//     8       4     format version (u32 LE, = 3)
+//     8       4     format version (u32 LE, = kSnapshotVersion)
 //     12      4     flags (u32 LE, reserved, must be 0)
 //     16..    —     zero pad to 64
 //     64..    —     column segments, each 64-byte aligned, zero pad between
 //     ...     —     segment table: one 32-byte entry per segment
 //                   {kind u32, elem_width u32, offset u64, byte_size u64,
-//                    FNV-1a-64 checksum u64}
+//                    XXH64 checksum u64}
 //     end-32  32    footer {segment table offset u64, segment count u32,
-//                   footer magic "SNP3" u32, segment table checksum u64,
+//                   footer magic "SNP3" u32, segment table XXH64 u64,
 //                   total file size u64}
 //
-//   Every column is a flat array of fixed-width little-endian elements, so
-//   a reader on a little-endian host can serve straight out of an mmap of
-//   the file — no per-record decode, pages fault in lazily, and N
-//   processes mapping one snapshot share one physical copy
-//   (serve::MappedSnapshot + core::StateView).
+// Every column is a flat array of fixed-width little-endian elements, so a
+// reader on a little-endian host can serve straight out of an mmap of the
+// file — no per-record decode, pages fault in lazily, and N processes
+// mapping one snapshot share one physical copy (serve::MappedSnapshot +
+// core::StateView).
 //
-// All integers little-endian.  Loading rejects, with a SnapshotError that
-// names the problem (and for v3 the failing region): wrong magic, a
-// version this build does not read, checksum mismatches (bit rot, torn
-// writes), truncated input, trailing bytes, and — v3 — any structural
-// inconsistency between columns.  save_snapshot(path) writes to
-// "<path>.tmp", fsyncs, renames, and fsyncs the parent directory, so
-// readers never observe a half-written file and the rename survives power
-// loss.
+// Loading rejects, with a SnapshotError that names the problem and the
+// failing region: wrong magic, any version but kSnapshotVersion, checksum
+// mismatches (bit rot, torn writes), truncated input, trailing bytes, and
+// any structural inconsistency between columns.  save_snapshot() writes
+// through util::write_file_durably, so readers never observe a
+// half-written file and the rename survives power loss.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -63,76 +52,38 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The newest version this build reads and writes.  History: v1 had no
-/// decode-error counters; v2 added them after the ingest counter; v3 is
-/// the columnar layout above.  v2 files remain readable (the default
-/// write format is still v2 so snapshots stay exchangeable with older
-/// builds); v1 is rejected with re-ingest guidance — its payload is not
-/// self-describing, so parsing it with a newer layout would misinterpret
-/// evidence rather than fail.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
-/// The oldest version this build still reads.
-inline constexpr std::uint32_t kSnapshotVersionMin = 2;
+/// The only version this build reads and writes.  Older versions (1-3)
+/// are refused with re-ingest guidance and left as they are.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
-/// On-disk format selector for the write path.
-enum class SnapshotFormat : std::uint8_t { kV2 = 2, kV3 = 3 };
-
-/// Serializes the classifier (configs + full state) to bytes.  kV2 is
-/// byte-identical to what pre-v3 builds wrote; kV3 additionally persists
-/// the interned-path arenas so a restart skips re-interning.
+/// Serializes the classifier (configs + full state, interned-path arenas
+/// included, so a restart skips re-interning).
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
-    const core::IncrementalClassifier& classifier,
-    SnapshotFormat format = SnapshotFormat::kV2);
+    const core::IncrementalClassifier& classifier);
 
-/// Reconstructs a classifier from encode_snapshot() output (either
-/// version; the header's version field picks the decoder).  The org map
-/// is not persisted — re-attach it with set_org_map() after loading.
-/// Throws SnapshotError on corrupt or unsupported input.
+/// Reconstructs a classifier from encode_snapshot() output onto the heap.
+/// The org map is not persisted — re-attach it with set_org_map() after
+/// loading.  Throws SnapshotError on corrupt or unsupported input.
 [[nodiscard]] core::IncrementalClassifier decode_snapshot(
     std::span<const std::uint8_t> bytes);
 
-/// Stream variants of the above.
+/// File variants; both throw SnapshotError on IO failure.  Saving goes
+/// through util::write_file_durably, so a crash mid-write never corrupts
+/// the previous snapshot.
 void save_snapshot(const core::IncrementalClassifier& classifier,
-                   std::ostream& out,
-                   SnapshotFormat format = SnapshotFormat::kV2);
-[[nodiscard]] core::IncrementalClassifier load_snapshot(std::istream& in);
-
-/// File variants.  Saving writes "<path>.tmp", fsyncs it, renames it over
-/// `path`, then fsyncs the parent directory, so a crash mid-write never
-/// corrupts the previous snapshot and the rename itself is durable; both
-/// throw SnapshotError on IO failure.
-void save_snapshot(const core::IncrementalClassifier& classifier,
-                   const std::string& path,
-                   SnapshotFormat format = SnapshotFormat::kV2);
+                   const std::string& path);
 [[nodiscard]] core::IncrementalClassifier load_snapshot(
     const std::string& path);
 
-/// Writes already-encoded snapshot bytes with the same tmp+fsync+rename+
-/// dir-fsync discipline.  Lets the server encode under its classifier
-/// lock but do the file IO outside it.
-void write_snapshot_bytes(std::span<const std::uint8_t> bytes,
-                          const std::string& path);
-
-// --- v3 memory-mapped reading ---
-
-struct MappedSnapshotOptions {
-  /// Verify every column segment's FNV checksum at open (reads the whole
-  /// file once).  Turning this off defers page-in entirely to first use —
-  /// fastest possible restart — at the cost of detecting bit rot only
-  /// where the structural validation happens to notice.
-  bool verify_segment_checksums = true;
-};
-
-/// A v3 snapshot opened by mmap: the file's columns become borrowed
+/// A snapshot opened by mmap: the file's columns become borrowed
 /// core::StateColumns with zero decode work, and the mapping stays alive
 /// for as long as any StateView handed out by state_view() is referenced.
-/// Structural validation (header, footer, segment table, column shapes)
-/// always runs at open; see MappedSnapshotOptions for checksums.  Opening
-/// a v2 file throws a SnapshotError telling the operator to re-save as v3.
+/// Open runs the same validation as decode_snapshot(): header, footer,
+/// segment table, every segment checksum, and column shapes.
 class MappedSnapshot : public std::enable_shared_from_this<MappedSnapshot> {
  public:
   [[nodiscard]] static std::shared_ptr<MappedSnapshot> open(
-      const std::string& path, MappedSnapshotOptions options = {});
+      const std::string& path);
 
   [[nodiscard]] const core::ClassifierConfig& classifier_config()
       const noexcept {
@@ -179,7 +130,7 @@ class MappedSnapshot : public std::enable_shared_from_this<MappedSnapshot> {
   core::StateColumns columns_;
 };
 
-/// One named byte region of a v3 image (a column segment, the segment
+/// One named byte region of an image (a column segment, the segment
 /// table, or the footer).  Exposed so corruption tests can aim damage at
 /// every region and assert each one is individually defended; the names
 /// match the region named in the rejection message.
@@ -189,9 +140,9 @@ struct SnapshotRegion {
   std::size_t length = 0;
 };
 
-/// Enumerates the regions of a well-formed v3 image (throws SnapshotError
-/// if `bytes` is not one).
-[[nodiscard]] std::vector<SnapshotRegion> snapshot_v3_regions(
+/// Enumerates the regions of a well-formed image (throws SnapshotError if
+/// `bytes` is not one).
+[[nodiscard]] std::vector<SnapshotRegion> snapshot_regions(
     std::span<const std::uint8_t> bytes);
 
 }  // namespace bgpintent::serve

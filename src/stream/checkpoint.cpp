@@ -1,16 +1,12 @@
 #include "stream/checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "stream/wire.hpp"
+#include "util/checksum.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::stream {
@@ -22,13 +18,6 @@ namespace {
 constexpr char kCheckpointMagic[8] = {'B', 'G', 'P', 'I', 'J', 'C', 'K', 'P'};
 constexpr char kCheckpointPrefix[] = "checkpoint-";
 constexpr char kCheckpointSuffix[] = ".ckpt";
-
-void fsync_directory(const std::string& directory) {
-  const int fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best effort: some filesystems refuse dir fsync
-  ::fsync(fd);
-  ::close(fd);
-}
 
 void put_window_state(std::vector<std::uint8_t>& out,
                       const WindowState& state) {
@@ -146,7 +135,7 @@ std::vector<std::uint8_t> encode_checkpoint_payload(
 
 CheckpointData decode_checkpoint_payload(
     std::span<const std::uint8_t> payload) {
-  wire::Cursor cursor(payload);
+  wire::Cursor cursor(payload, "journal");
   CheckpointData data;
   data.config = wire::get_window_config(cursor);
   data.state.window = get_window_state(cursor);
@@ -190,58 +179,17 @@ void save_checkpoint(const std::string& directory, std::uint64_t records,
   for (const char c : kCheckpointMagic)
     bytes.push_back(static_cast<std::uint8_t>(c));
   wire::put<std::uint32_t>(bytes, kCheckpointVersion);
-  wire::put<std::uint64_t>(bytes, wire::fnv1a64(payload));
+  wire::put<std::uint64_t>(bytes, util::xxh64(payload));
   wire::put<std::uint64_t>(bytes, payload.size());
   bytes.insert(bytes.end(), payload.begin(), payload.end());
-
-  const std::string path = checkpoint_path(directory, records);
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0)
-    throw JournalError(util::format("cannot open %s: %s", tmp.c_str(),
-                                    std::strerror(errno)));
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + written,
-                              bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string detail = std::strerror(errno);
-      ::close(fd);
-      std::remove(tmp.c_str());
-      throw JournalError(
-          util::format("write to %s failed: %s", tmp.c_str(), detail.c_str()));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    std::remove(tmp.c_str());
-    throw JournalError(util::format("cannot persist %s: %s", tmp.c_str(),
-                                    std::strerror(errno)));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string detail = std::strerror(errno);
-    std::remove(tmp.c_str());
-    throw JournalError(util::format("cannot rename %s into place: %s",
-                                    tmp.c_str(), detail.c_str()));
-  }
-  // Make the rename itself durable: without a directory fsync a power
-  // loss can undo the link and the checkpoint vanishes, weakening the
-  // --checkpoint-interval bounded-replay guarantee.
-  fsync_directory(directory);
+  // A durable rename keeps the --checkpoint-interval bounded-replay
+  // guarantee across power loss: an undone link would lose the checkpoint.
+  util::write_file_durably<JournalError>(checkpoint_path(directory, records),
+                                         bytes);
 }
 
 CheckpointData load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw JournalError(util::format("cannot open %s", path.c_str()));
-  std::vector<std::uint8_t> bytes;
-  char buffer[64 * 1024];
-  while (in.read(buffer, sizeof buffer) || in.gcount() > 0)
-    bytes.insert(bytes.end(), buffer, buffer + in.gcount());
-  if (in.bad())
-    throw JournalError(util::format("failed to read %s", path.c_str()));
-
+  const std::vector<std::uint8_t> bytes = util::read_file<JournalError>(path);
   if (bytes.size() < kCheckpointHeaderBytes)
     throw JournalError(
         util::format("%s: checkpoint header truncated", path.c_str()));
@@ -250,9 +198,10 @@ CheckpointData load_checkpoint(const std::string& path) {
     throw JournalError(
         util::format("%s: not a checkpoint (bad magic)", path.c_str()));
   const std::span<const std::uint8_t> all(bytes);
-  wire::Cursor header(all.subspan(
-      sizeof kCheckpointMagic,
-      kCheckpointHeaderBytes - sizeof kCheckpointMagic));
+  wire::Cursor header(
+      all.subspan(sizeof kCheckpointMagic,
+                  kCheckpointHeaderBytes - sizeof kCheckpointMagic),
+      "journal");
   const std::uint32_t version = header.get<std::uint32_t>();
   if (version != kCheckpointVersion)
     throw JournalError(util::format(
@@ -267,7 +216,7 @@ CheckpointData load_checkpoint(const std::string& path) {
         static_cast<unsigned long long>(bytes.size() -
                                         kCheckpointHeaderBytes)));
   const auto payload = all.subspan(kCheckpointHeaderBytes);
-  if (wire::fnv1a64(payload) != checksum)
+  if (util::xxh64(payload) != checksum)
     throw JournalError(
         util::format("%s: checkpoint checksum mismatch", path.c_str()));
   return decode_checkpoint_payload(payload);

@@ -4,14 +4,15 @@
 // A checkpoint file checkpoint-<records>.ckpt captures the engine state
 // after exactly <records> journal records were applied; recovery picks the
 // newest checkpoint whose record count is covered by the valid journal
-// prefix and replays only the records past it.  Files are written with the
-// snapshot v2 atomic discipline (tmp + fsync + rename) and carry the same
-// header shape: magic, version, FNV-1a-64 payload checksum, payload size.
+// prefix and replays only the records past it.  Files are written through
+// util::write_file_durably (tmp + fsync + rename + directory fsync), and
+// every byte is validated on load: the header fields are checked one by
+// one and the payload against its XXH64.
 //
 //   offset  size  field
 //   0       8     magic "BGPIJCKP"
-//   8       4     format version (u32, currently 1)
-//   12      8     FNV-1a-64 of the payload bytes (u64)
+//   8       4     format version (u32, = kCheckpointVersion)
+//   12      8     XXH64 of the payload bytes (u64)
 //   20      8     payload size in bytes (u64)
 //   28      ...   payload (WindowConfig + EngineState, little-endian)
 #pragma once
@@ -28,7 +29,7 @@ namespace bgpintent::stream {
 
 /// The checkpoint format version this build writes; readers accept
 /// exactly this version.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Bytes of a checkpoint header (magic + version + checksum + size).
 inline constexpr std::size_t kCheckpointHeaderBytes = 28;
@@ -55,8 +56,8 @@ struct CheckpointData {
 [[nodiscard]] std::string checkpoint_path(const std::string& directory,
                                           std::uint64_t records);
 
-/// Atomically writes checkpoint-<records>.ckpt into `directory` (tmp +
-/// fsync + rename).  Throws JournalError on IO failure.
+/// Durably writes checkpoint-<records>.ckpt into `directory`.  Throws
+/// JournalError on IO failure.
 void save_checkpoint(const std::string& directory, std::uint64_t records,
                      const CheckpointData& data);
 

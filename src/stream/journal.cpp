@@ -4,13 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "stream/wire.hpp"
+#include "util/checksum.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::stream {
@@ -24,48 +24,25 @@ constexpr char kSegmentPrefix[] = "journal-";
 constexpr char kSegmentSuffix[] = ".seg";
 /// Frames larger than this are treated as corruption, not allocations.
 constexpr std::uint64_t kMaxFrameBytes = 64ull << 20;
-/// Footer payload: type byte + record count u64 + payload FNV-1a-64.
+/// Footer payload: type byte + record count u64 + footer hash u64.
 constexpr std::size_t kFooterPayloadBytes = 17;
-
-[[nodiscard]] std::array<std::uint32_t, 256> make_crc32_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t n = 0; n < 256; ++n) {
-    std::uint32_t crc = n;
-    for (int bit = 0; bit < 8; ++bit)
-      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
-    table[n] = crc;
-  }
-  return table;
-}
 
 [[nodiscard]] std::string errno_detail() {
   return std::strerror(errno) != nullptr ? std::strerror(errno) : "unknown";
 }
 
-/// Reads a whole file; throws JournalError on IO failure.
-[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw JournalError(util::format("cannot open %s", path.c_str()));
-  std::vector<std::uint8_t> bytes;
-  char buffer[64 * 1024];
-  while (in.read(buffer, sizeof buffer) || in.gcount() > 0)
-    bytes.insert(bytes.end(), buffer, buffer + in.gcount());
-  if (in.bad()) throw JournalError(util::format("failed to read %s", path.c_str()));
-  return bytes;
-}
-
-[[nodiscard]] std::uint32_t peek_u32_le(const std::uint8_t* bytes) noexcept {
-  return static_cast<std::uint32_t>(bytes[0]) |
-         (static_cast<std::uint32_t>(bytes[1]) << 8) |
-         (static_cast<std::uint32_t>(bytes[2]) << 16) |
-         (static_cast<std::uint32_t>(bytes[3]) << 24);
-}
-
-[[nodiscard]] std::uint64_t peek_u64_le(const std::uint8_t* bytes) noexcept {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < 8; ++i)
-    value |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-  return value;
+/// Folds one record frame's stored checksum into the footer hash
+/// (h = xxh64(h ‖ c), both little-endian u64), so a sealed segment's footer
+/// covers every record in order: swapped, dropped or duplicated frames
+/// change it even though each frame still passes its own checksum.
+[[nodiscard]] std::uint64_t chain_footer_hash(std::uint64_t hash,
+                                              std::uint64_t checksum) {
+  std::uint8_t bytes[16];
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(hash >> (8 * i));
+    bytes[8 + i] = static_cast<std::uint8_t>(checksum >> (8 * i));
+  }
+  return util::xxh64(bytes);
 }
 
 /// One segment file parsed frame by frame.  `on_record` (may be null) sees
@@ -74,7 +51,7 @@ struct ParsedSegment {
   std::uint64_t first_record = 0;  ///< from the header
   std::uint64_t records = 0;       ///< valid records walked
   std::uint64_t valid_bytes = 0;   ///< prefix ending after the last valid frame
-  std::uint64_t rolling_fnv = 14695981039346656037ULL;
+  std::uint64_t footer_hash = 0;   ///< chain over the walked records
   bool sealed = false;
   bool torn = false;
   bool stopped = false;  ///< on_record returned false
@@ -103,20 +80,21 @@ using FrameSink =
     tear(0, "not a journal segment (bad magic)");
     return parsed;
   }
-  const std::uint32_t version = peek_u32_le(bytes.data() + 8);
-  if (version > kJournalVersion)
+  wire::Cursor header(bytes.subspan(8, kSegmentHeaderBytes - 8), "journal");
+  const std::uint32_t version = header.get<std::uint32_t>();
+  // Checked before the header checksum, whose width differs by version: a
+  // segment another build wrote is refused, never torn, because tolerant
+  // recovery deletes a torn segment and every segment after it.
+  if (version != kJournalVersion)
     throw JournalError(util::format(
-        "%s: journal segment version %u is newer than supported version %u",
+        "%s: journal segment version %u is not the supported version %u",
         path.c_str(), version, kJournalVersion));
-  if (version != kJournalVersion) {
-    tear(8, util::format("unsupported segment version %u", version));
-    return parsed;
-  }
-  if (journal_crc32(bytes.subspan(8, 12)) != peek_u32_le(bytes.data() + 20)) {
+  const std::uint64_t first_record = header.get<std::uint64_t>();
+  if (util::xxh64(bytes.subspan(8, 12)) != header.get<std::uint64_t>()) {
     tear(20, "segment header checksum mismatch");
     return parsed;
   }
-  parsed.first_record = peek_u64_le(bytes.data() + 12);
+  parsed.first_record = first_record;
   parsed.valid_bytes = kSegmentHeaderBytes;
 
   std::uint64_t pos = kSegmentHeaderBytes;
@@ -125,34 +103,19 @@ using FrameSink =
       tear(pos, "bytes after segment footer");
       return parsed;
     }
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      tear(pos, "torn frame header");
+    const FrameRead frame = read_frame(bytes, pos);
+    if (!frame.error.empty()) {
+      tear(pos, frame.error);
       return parsed;
     }
-    const std::uint64_t length = peek_u32_le(bytes.data() + pos);
-    const std::uint32_t crc = peek_u32_le(bytes.data() + pos + 4);
-    if (length == 0 || length > kMaxFrameBytes) {
-      tear(pos, util::format("implausible frame length %llu",
-                             static_cast<unsigned long long>(length)));
-      return parsed;
-    }
-    if (length > bytes.size() - pos - kFrameHeaderBytes) {
-      tear(pos, "torn frame payload");
-      return parsed;
-    }
-    const auto payload = bytes.subspan(pos + kFrameHeaderBytes,
-                                       static_cast<std::size_t>(length));
-    if (journal_crc32(payload) != crc) {
-      tear(pos, "frame checksum mismatch");
-      return parsed;
-    }
-    if (payload[0] == static_cast<std::uint8_t>(RecordType::kFooter)) {
-      if (payload.size() != kFooterPayloadBytes) {
+    const std::uint64_t next = pos + kFrameHeaderBytes + frame.payload.size();
+    if (frame.payload[0] == static_cast<std::uint8_t>(RecordType::kFooter)) {
+      if (frame.payload.size() != kFooterPayloadBytes) {
         tear(pos, "malformed segment footer");
         return parsed;
       }
-      const std::uint64_t count = peek_u64_le(payload.data() + 1);
-      const std::uint64_t fnv = peek_u64_le(payload.data() + 9);
+      wire::Cursor footer(frame.payload.subspan(1), "journal");
+      const std::uint64_t count = footer.get<std::uint64_t>();
       if (count != parsed.records) {
         tear(pos, util::format(
                       "footer claims %llu records, segment frames %llu",
@@ -160,25 +123,22 @@ using FrameSink =
                       static_cast<unsigned long long>(parsed.records)));
         return parsed;
       }
-      if (fnv != parsed.rolling_fnv) {
-        tear(pos, "footer payload hash mismatch");
+      if (footer.get<std::uint64_t>() != parsed.footer_hash) {
+        tear(pos, "footer hash mismatch");
         return parsed;
       }
       parsed.sealed = true;
-      pos += kFrameHeaderBytes + length;
+      pos = next;
       parsed.valid_bytes = pos;
       continue;
     }
-    if (on_record && !on_record(pos, payload)) {
+    if (on_record && !on_record(pos, frame.payload)) {
       parsed.stopped = true;
       return parsed;
     }
-    for (const std::uint8_t byte : payload) {
-      parsed.rolling_fnv ^= byte;
-      parsed.rolling_fnv *= 1099511628211ULL;
-    }
+    parsed.footer_hash = chain_footer_hash(parsed.footer_hash, frame.checksum);
     ++parsed.records;
-    pos += kFrameHeaderBytes + length;
+    pos = next;
     parsed.valid_bytes = pos;
   }
   return parsed;
@@ -204,21 +164,32 @@ using FrameSink =
   return segments;
 }
 
-void fsync_directory(const std::string& directory) {
-  const int fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best effort: some filesystems refuse dir fsync
-  ::fsync(fd);
-  ::close(fd);
-}
-
 }  // namespace
 
-std::uint32_t journal_crc32(std::span<const std::uint8_t> bytes) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc32_table();
-  std::uint32_t crc = 0xffffffffu;
-  for (const std::uint8_t byte : bytes)
-    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xffu];
-  return crc ^ 0xffffffffu;
+FrameRead read_frame(std::span<const std::uint8_t> segment,
+                     std::uint64_t offset) {
+  FrameRead frame;
+  if (offset > segment.size() ||
+      segment.size() - offset < kFrameHeaderBytes) {
+    frame.error = "torn frame header";
+    return frame;
+  }
+  wire::Cursor header(segment.subspan(offset, kFrameHeaderBytes), "journal");
+  const std::uint64_t length = header.get<std::uint32_t>();
+  frame.checksum = header.get<std::uint64_t>();
+  if (length == 0 || length > kMaxFrameBytes) {
+    frame.error = util::format("implausible frame length %llu",
+                               static_cast<unsigned long long>(length));
+    return frame;
+  }
+  if (length > segment.size() - offset - kFrameHeaderBytes) {
+    frame.error = "torn frame payload";
+    return frame;
+  }
+  frame.payload = segment.subspan(offset + kFrameHeaderBytes, length);
+  if (util::xxh64(frame.payload) != frame.checksum)
+    frame.error = "frame checksum mismatch";
+  return frame;
 }
 
 std::string_view to_string(FsyncPolicy policy) noexcept {
@@ -327,7 +298,7 @@ void encode_decode_stats_record(std::vector<std::uint8_t>& out,
 
 JournalRecord decode_record(std::span<const std::uint8_t> payload) {
   if (payload.empty()) throw JournalError("empty journal record payload");
-  wire::Cursor cursor(payload);
+  wire::Cursor cursor(payload, "journal");
   JournalRecord record;
   const std::uint8_t type = cursor.get<std::uint8_t>();
   switch (static_cast<RecordType>(type)) {
@@ -399,8 +370,7 @@ std::string segment_path(const std::string& directory,
   return (fs::path(directory) / segment_file_name(first_record)).string();
 }
 
-JournalWriter::JournalWriter(JournalConfig config, std::uint64_t next_record,
-                             std::optional<std::uint64_t> truncate_segment_to)
+JournalWriter::JournalWriter(JournalConfig config, std::uint64_t next_record)
     : config_(std::move(config)), next_record_(next_record) {
   std::error_code ec;
   fs::create_directories(config_.directory, ec);
@@ -435,12 +405,10 @@ JournalWriter::JournalWriter(JournalConfig config, std::uint64_t next_record,
     return;
   }
 
-  // Re-parse the active segment to rebuild the rolling footer state, after
-  // applying the recovery-supplied torn-tail truncation.
-  std::vector<std::uint8_t> bytes = read_file(active->second);
-  if (truncate_segment_to && *truncate_segment_to < bytes.size())
-    bytes.resize(static_cast<std::size_t>(*truncate_segment_to));
-  const ParsedSegment parsed = parse_segment(bytes, active->second, nullptr);
+  // Re-parse the active segment to rebuild the footer hash; a torn one is
+  // refused below, so an intact segment is appended to at its end.
+  const ParsedSegment parsed = parse_segment(
+      util::read_file<JournalError>(active->second), active->second, nullptr);
   if (parsed.torn)
     throw JournalError(util::format(
         "journal %s is torn (%s); run recovery before appending",
@@ -464,23 +432,15 @@ JournalWriter::JournalWriter(JournalConfig config, std::uint64_t next_record,
   }
 
   segment_path_ = active->second;
-  fd_ = ::open(segment_path_.c_str(), O_WRONLY | O_CLOEXEC);
+  fd_ = ::open(segment_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (fd_ < 0)
     throw JournalError(util::format("cannot open %s for append: %s",
                                     segment_path_.c_str(),
                                     errno_detail().c_str()));
-  if (::ftruncate(fd_, static_cast<off_t>(parsed.valid_bytes)) != 0 ||
-      ::lseek(fd_, static_cast<off_t>(parsed.valid_bytes), SEEK_SET) < 0) {
-    const std::string detail = errno_detail();
-    ::close(fd_);
-    fd_ = -1;
-    throw JournalError(util::format("cannot truncate %s: %s",
-                                    segment_path_.c_str(), detail.c_str()));
-  }
   segment_first_record_ = parsed.first_record;
   segment_bytes_ = parsed.valid_bytes;
   segment_records_ = parsed.records;
-  rolling_fnv_ = parsed.rolling_fnv;
+  footer_hash_ = parsed.footer_hash;
 }
 
 JournalWriter::~JournalWriter() {
@@ -504,7 +464,7 @@ void JournalWriter::open_segment(std::uint64_t first_record, bool fresh) {
   segment_first_record_ = first_record;
   segment_records_ = 0;
   segment_bytes_ = 0;
-  rolling_fnv_ = 14695981039346656037ULL;
+  footer_hash_ = 0;
 
   std::vector<std::uint8_t> header;
   header.reserve(kSegmentHeaderBytes);
@@ -512,11 +472,11 @@ void JournalWriter::open_segment(std::uint64_t first_record, bool fresh) {
     header.push_back(static_cast<std::uint8_t>(c));
   wire::put<std::uint32_t>(header, kJournalVersion);
   wire::put<std::uint64_t>(header, first_record);
-  wire::put<std::uint32_t>(header,
-                           journal_crc32(std::span(header).subspan(8, 12)));
+  wire::put<std::uint64_t>(header,
+                           util::xxh64(std::span(header).subspan(8, 12)));
   write_bytes(header);
   if (config_.fsync != FsyncPolicy::kNever)
-    fsync_directory(config_.directory);
+    util::fsync_directory(config_.directory);
 }
 
 void JournalWriter::write_bytes(std::span<const std::uint8_t> bytes) {
@@ -537,22 +497,24 @@ void JournalWriter::write_bytes(std::span<const std::uint8_t> bytes) {
   stats_.bytes += bytes.size();
 }
 
+std::uint64_t JournalWriter::write_frame(
+    std::span<const std::uint8_t> payload) {
+  const std::uint64_t checksum = util::xxh64(payload);
+  std::vector<std::uint8_t> frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  wire::put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
+  wire::put<std::uint64_t>(frame, checksum);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  write_bytes(frame);
+  return checksum;
+}
+
 void JournalWriter::append(std::span<const std::uint8_t> payload) {
   if (closed_) throw JournalError("append to a closed journal");
   if (payload.empty() || payload.size() > kMaxFrameBytes)
     throw JournalError("journal record payload size out of range");
 
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  wire::put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-  wire::put<std::uint32_t>(frame, journal_crc32(payload));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  write_bytes(frame);
-
-  for (const std::uint8_t byte : payload) {
-    rolling_fnv_ ^= byte;
-    rolling_fnv_ *= 1099511628211ULL;
-  }
+  footer_hash_ = chain_footer_hash(footer_hash_, write_frame(payload));
   ++segment_records_;
   ++next_record_;
   ++stats_.appends;
@@ -594,14 +556,8 @@ void JournalWriter::seal_segment() {
   wire::put<std::uint8_t>(payload,
                           static_cast<std::uint8_t>(RecordType::kFooter));
   wire::put<std::uint64_t>(payload, segment_records_);
-  wire::put<std::uint64_t>(payload, rolling_fnv_);
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  wire::put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-  wire::put<std::uint32_t>(frame, journal_crc32(payload));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  write_bytes(frame);
+  wire::put<std::uint64_t>(payload, footer_hash_);
+  (void)write_frame(payload);
 
   if (config_.fsync != FsyncPolicy::kNever) {
     unsynced_bytes_ = segment_bytes_;  // force the sync below
@@ -623,7 +579,7 @@ void JournalWriter::close() {
   if (fd_ < 0) return;
   seal_segment();
   if (config_.fsync != FsyncPolicy::kNever)
-    fsync_directory(config_.directory);
+    util::fsync_directory(config_.directory);
 }
 
 // --- Scanner ---------------------------------------------------------------
@@ -660,7 +616,7 @@ ScanSummary scan_journal(const std::string& directory,
 
     std::vector<std::uint8_t> bytes;
     try {
-      bytes = read_file(path);
+      bytes = util::read_file<JournalError>(path);
     } catch (const JournalError& error) {
       summary.segments.push_back(info);
       tear(error.what());
@@ -717,17 +673,11 @@ std::vector<mrt::RecordSpan> index_segment_frames(
   if (std::memcmp(bytes.data(), kSegmentMagic, sizeof kSegmentMagic) != 0)
     throw JournalError("not a journal segment (bad magic)");
   std::vector<mrt::RecordSpan> spans;
-  std::uint64_t pos = kSegmentHeaderBytes;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeaderBytes)
-      throw JournalError("torn frame header");
-    const std::uint64_t length = peek_u32_le(bytes.data() + pos);
-    if (length == 0 || length > kMaxFrameBytes)
-      throw JournalError("implausible frame length");
-    if (length > bytes.size() - pos - kFrameHeaderBytes)
-      throw JournalError("torn frame payload");
-    spans.push_back({pos, kFrameHeaderBytes + length});
-    pos += kFrameHeaderBytes + length;
+  for (std::uint64_t pos = kSegmentHeaderBytes; pos < bytes.size();) {
+    const FrameRead frame = read_frame(bytes, pos);
+    if (!frame.error.empty()) throw JournalError(frame.error);
+    spans.push_back({pos, kFrameHeaderBytes + frame.payload.size()});
+    pos += kFrameHeaderBytes + frame.payload.size();
   }
   return spans;
 }

@@ -11,30 +11,33 @@
 // cross-checks).  Recovery is checkpoint-load plus bounded tail replay; see
 // stream/recovery.hpp and docs/STREAMING.md §6 for the full story.
 //
-// On-disk layout (all integers little-endian):
+// On-disk layout (all integers little-endian; every checksum is
+// util::xxh64):
 //
 //   segment file  journal-<first-record-index>.seg
 //     offset  size  field
 //     0       8     magic "BGPIJSEG"
-//     8       4     format version (u32, currently 1)
+//     8       4     format version (u32, = kJournalVersion)
 //     12      8     index of the first record framed in this segment (u64)
-//     20      4     CRC-32 of bytes [8, 20)
-//     24      ...   frames
+//     20      8     XXH64 of bytes [8, 20)
+//     28      ...   frames
 //
 //   frame (one per record, plus one trailing footer frame per sealed
 //   segment)
 //     offset  size  field
 //     0       4     payload length N (u32)
-//     4       4     CRC-32 of the payload bytes (u32)
-//     8       N     payload; payload[0] is the RecordType
+//     4       8     XXH64 of the payload bytes (u64)
+//     12      N     payload; payload[0] is the RecordType
 //
 //   footer payload (RecordType::kFooter; does not consume a record index)
-//     type u8 · record count u64 · FNV-1a-64 over all record payloads
+//     type u8 · record count u64 · footer hash u64, where the footer hash
+//     chains the segment's record-frame checksums in order:
+//     h = 0, then h = xxh64(h ‖ c) per frame checksum c
 //
 // Segments rotate when they exceed JournalConfig::max_segment_bytes: the
 // writer seals the current file with a footer frame and opens the next one,
 // named after the next record index (so the file name alone orders and
-// frames the record space).  Recovery scans and CRC-verifies every segment
+// frames the record space).  Recovery scans and verifies every segment
 // and requires record-index contiguity from 0 — segments must never be
 // pruned by hand, even below a checkpoint: a missing or corrupt early
 // segment reads as a hole, truncating recoverable state at that point.
@@ -66,19 +69,16 @@ class JournalError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The segment format version this build writes; readers accept exactly
-/// this version (the frame stream is not self-describing across versions).
-inline constexpr std::uint32_t kJournalVersion = 1;
+/// The segment format version this build writes.  A segment of any other
+/// version is refused with a JournalError, in strict and tolerant mode
+/// alike, and left untouched.
+inline constexpr std::uint32_t kJournalVersion = 2;
 
-/// Bytes of a segment header (magic + version + first index + header CRC).
-inline constexpr std::size_t kSegmentHeaderBytes = 24;
+/// Bytes of a segment header (magic + version + first index + checksum).
+inline constexpr std::size_t kSegmentHeaderBytes = 28;
 
-/// Bytes of a frame header (payload length + payload CRC).
-inline constexpr std::size_t kFrameHeaderBytes = 8;
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the frame checksum.
-[[nodiscard]] std::uint32_t journal_crc32(
-    std::span<const std::uint8_t> bytes) noexcept;
+/// Bytes of a frame header (payload length + payload checksum).
+inline constexpr std::size_t kFrameHeaderBytes = 12;
 
 /// When appended bytes are pushed through fdatasync (docs/STREAMING.md §6
 /// spells out the trade-offs; the default is kInterval).
@@ -187,14 +187,11 @@ struct JournalWriterStats {
 class JournalWriter {
  public:
   /// Opens the directory (creating it if missing) for appending with
-  /// `next_record` as the index of the next appended record.  When
-  /// `truncate_segment_to` names a byte length for the active segment, the
-  /// file is first truncated to that many bytes (torn-tail recovery);
-  /// segments framing records >= next_record are deleted.  A fresh
-  /// directory starts segment journal-0.seg.  Throws JournalError on IO
-  /// failure.
-  JournalWriter(JournalConfig config, std::uint64_t next_record,
-                std::optional<std::uint64_t> truncate_segment_to = std::nullopt);
+  /// `next_record` as the index of the next appended record; segments
+  /// framing records >= next_record are deleted.  A fresh directory starts
+  /// segment journal-0.seg.  Throws JournalError on IO failure or when the
+  /// active segment is torn (recovery truncates torn tails first).
+  JournalWriter(JournalConfig config, std::uint64_t next_record);
   ~JournalWriter();
 
   JournalWriter(const JournalWriter&) = delete;
@@ -225,6 +222,8 @@ class JournalWriter {
  private:
   void open_segment(std::uint64_t first_record, bool fresh);
   void write_bytes(std::span<const std::uint8_t> bytes);
+  /// Frames and writes one payload; returns the checksum it stored.
+  std::uint64_t write_frame(std::span<const std::uint8_t> payload);
   void seal_segment();
   void fsync_policy_tick();
 
@@ -235,7 +234,7 @@ class JournalWriter {
   std::uint64_t segment_first_record_ = 0;
   std::uint64_t segment_bytes_ = 0;   // bytes in the active segment
   std::uint64_t segment_records_ = 0; // records framed in the active segment
-  std::uint64_t rolling_fnv_ = 0;     // footer hash over record payloads
+  std::uint64_t footer_hash_ = 0;     // chain over record-frame checksums
   std::uint64_t unsynced_bytes_ = 0;
   JournalWriterStats stats_;
   bool closed_ = false;
@@ -280,18 +279,33 @@ using RecordSink =
     std::function<bool(const RecordLocation&, std::span<const std::uint8_t>)>;
 
 /// Scans every journal-*.seg of `directory` in record order, verifying
-/// headers, frame CRCs, footers, and cross-segment record-index continuity.
-/// Missing directories scan as empty.  The sink may be null (pure
-/// validation scan).
+/// headers, frame checksums, footers, and cross-segment record-index
+/// continuity.  Missing directories scan as empty.  The sink may be null
+/// (pure validation scan).  A segment of another format version throws
+/// JournalError even in a tolerant scan.
 [[nodiscard]] ScanSummary scan_journal(const std::string& directory,
                                        const ScanOptions& options = {},
                                        const RecordSink& sink = nullptr);
 
-/// Frames one raw segment image into record-frame spans (the 8-byte frame
-/// header plus payload; the 24-byte segment header is excluded).  Throws
-/// JournalError if the image is not a valid segment — this is the strict
-/// framer behind journal fault injection, the stream-side analogue of
-/// mrt::index_records.
+/// One frame read from a segment image: its payload and stored checksum,
+/// or `error` naming why no valid frame starts there (torn header or
+/// payload, implausible length, checksum mismatch).
+struct FrameRead {
+  std::span<const std::uint8_t> payload;
+  std::uint64_t checksum = 0;
+  std::string error;
+};
+
+/// Reads the frame at byte `offset` of a segment image and verifies its
+/// checksum.  The one frame walker: scans, recovery truncation and
+/// index_segment_frames all step through segments with it.
+[[nodiscard]] FrameRead read_frame(std::span<const std::uint8_t> segment,
+                                   std::uint64_t offset);
+
+/// Frames one raw segment image into record-frame spans (frame header plus
+/// payload; the segment header is excluded).  Throws JournalError if the
+/// image is not a valid segment — this is the strict framer behind journal
+/// fault injection, the stream-side analogue of mrt::index_records.
 [[nodiscard]] std::vector<mrt::RecordSpan> index_segment_frames(
     std::span<const std::uint8_t> bytes);
 

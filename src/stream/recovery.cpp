@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 
 #include "stream/wire.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::stream {
@@ -270,15 +270,6 @@ struct ReplayDrive {
   return drive;
 }
 
-/// Reads the little-endian u32 at `bytes[pos]`.
-[[nodiscard]] std::uint64_t frame_length_at(
-    const std::vector<std::uint8_t>& bytes, std::uint64_t pos) {
-  return static_cast<std::uint64_t>(bytes[pos]) |
-         (static_cast<std::uint64_t>(bytes[pos + 1]) << 8) |
-         (static_cast<std::uint64_t>(bytes[pos + 2]) << 16) |
-         (static_cast<std::uint64_t>(bytes[pos + 3]) << 24);
-}
-
 /// Physically truncates `directory` to its first `records` journal
 /// records: the segment holding the boundary is cut after its last valid
 /// frame, every segment entirely past the boundary and every checkpoint
@@ -326,29 +317,20 @@ std::uint64_t truncate_journal_dir(const std::string& directory,
   // footer frame consumes no record index: one right at the cut belongs
   // to the kept prefix (the segment was sealed before the tear), one past
   // a mid-segment cut is dropped with the rest.
-  std::ifstream in(boundary_path, std::ios::binary);
-  std::vector<std::uint8_t> bytes;
-  char buffer[64 * 1024];
-  while (in.read(buffer, sizeof buffer) || in.gcount() > 0)
-    bytes.insert(bytes.end(), buffer, buffer + in.gcount());
-
+  const std::vector<std::uint8_t> bytes =
+      util::read_file<JournalError>(boundary_path);
   std::uint64_t pos = kSegmentHeaderBytes;
   std::uint64_t index = boundary_first;
-  while (pos + kFrameHeaderBytes <= bytes.size()) {
-    const std::uint64_t length = frame_length_at(bytes, pos);
-    if (length == 0 || length > bytes.size() - pos - kFrameHeaderBytes) break;
-    // The type byte of a corrupt frame cannot be trusted (a damaged
-    // footer must be cut, not kept as the segment's seal): verify the
-    // payload checksum before stepping over any frame.
-    const std::uint32_t stored = static_cast<std::uint32_t>(
-        frame_length_at(bytes, pos + 4));
-    const std::span<const std::uint8_t> payload(
-        bytes.data() + pos + kFrameHeaderBytes, length);
-    if (journal_crc32(payload) != stored) break;
-    const bool footer = bytes[pos + kFrameHeaderBytes] ==
-                        static_cast<std::uint8_t>(RecordType::kFooter);
+  for (;;) {
+    // read_frame verifies the checksum: the type byte of a corrupt frame
+    // cannot be trusted (a damaged footer must be cut, not kept as the
+    // segment's seal).
+    const FrameRead frame = read_frame(bytes, pos);
+    if (!frame.error.empty()) break;
+    const bool footer =
+        frame.payload[0] == static_cast<std::uint8_t>(RecordType::kFooter);
     if (!footer && index >= records) break;
-    pos += kFrameHeaderBytes + length;
+    pos += kFrameHeaderBytes + frame.payload.size();
     if (footer) break;  // a footer ends the segment either way
     ++index;
   }

@@ -98,7 +98,7 @@ struct JournalInspection {
   std::vector<std::pair<std::uint64_t, std::string>> checkpoints;
   /// Indexed by RecordType raw value (1..8; 0 unused).
   std::array<std::uint64_t, 9> type_counts{};
-  std::uint64_t undecodable = 0;  ///< CRC-valid frames decode_record rejects
+  std::uint64_t undecodable = 0;  ///< checksum-valid frames decode_record rejects
   std::uint64_t last_event_seq = 0;
 };
 [[nodiscard]] JournalInspection inspect_journal(const std::string& directory);

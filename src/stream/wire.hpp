@@ -1,87 +1,25 @@
-// Little-endian byte-packing helpers shared by the journal record codec
-// (journal.cpp) and the checkpoint codec (checkpoint.cpp).  Internal to
-// src/stream — the public surfaces are journal.hpp and checkpoint.hpp.
+// Stream-specific field codecs shared by the journal record codec
+// (journal.cpp) and the checkpoint codec (checkpoint.cpp), on top of the
+// util::put / util::ByteReader integer codec.  Internal to src/stream —
+// the public surfaces are journal.hpp and checkpoint.hpp.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <span>
-#include <type_traits>
 #include <vector>
 
 #include "bgp/aspath.hpp"
 #include "stream/journal.hpp"
+#include "util/bytes.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::stream::wire {
 
-[[nodiscard]] inline std::uint64_t fnv1a64(
-    std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+using util::put;
+using util::put_double;
 
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T value) {
-  static_assert(std::is_unsigned_v<T>);
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-inline void put_double(std::vector<std::uint8_t>& out, double value) {
-  put(out, std::bit_cast<std::uint64_t>(value));
-}
-
-/// Bounds-checked little-endian reader over one payload; throws
-/// JournalError instead of reading past the end.
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  [[nodiscard]] T get() {
-    static_assert(std::is_unsigned_v<T>);
-    if (bytes_.size() - offset_ < sizeof(T))
-      throw JournalError("truncated journal payload");
-    std::uint64_t value = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      value |= static_cast<std::uint64_t>(bytes_[offset_ + i]) << (8 * i);
-    offset_ += sizeof(T);
-    return static_cast<T>(value);
-  }
-
-  [[nodiscard]] double get_double() {
-    return std::bit_cast<double>(get<std::uint64_t>());
-  }
-
-  /// Reads a count about to drive `element_bytes`-sized reads; rejects
-  /// counts the remaining payload cannot hold (fail fast on corruption
-  /// instead of attempting a huge allocation).
-  [[nodiscard]] std::size_t get_count(std::size_t element_bytes) {
-    const std::uint64_t count = get<std::uint64_t>();
-    if (element_bytes != 0 && count > remaining() / element_bytes)
-      throw JournalError("journal count exceeds payload size");
-    return static_cast<std::size_t>(count);
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - offset_;
-  }
-
-  void expect_end(const char* what) {
-    if (remaining() != 0)
-      throw JournalError(
-          util::format("%s has %zu trailing bytes", what, remaining()));
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
-};
+/// Reader over one journal or checkpoint payload; constructed with the
+/// subject "journal", so failures read "truncated journal payload".
+using Cursor = util::ByteReader<JournalError>;
 
 /// AS path as segments: count u32, then per segment type u8 + ASN count
 /// u32 + ASNs u32 each.  Shared by kAnnounce records and checkpoints.

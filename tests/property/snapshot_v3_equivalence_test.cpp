@@ -1,10 +1,10 @@
-// Cross-version snapshot equivalence (the v3 acceptance property): the
-// same classifier state saved as v2 and as v3 must be indistinguishable to
-// every consumer — a v2 heap load, a v3 heap load, and a v3 mmap borrow
-// answer identically, keep answering identically through the protocol
-// surface (LABEL / BATCH-LABEL / TOTALS) at several shard counts, and stay
-// identical after post-restore INGEST forces the borrowed classifier
-// through its copy-on-write detach.
+// Columnar snapshot equivalence: a heap load and an mmap borrow of a saved
+// classifier must be indistinguishable from the never-serialized original
+// to every consumer — they answer identically, keep answering identically
+// through the protocol surface (LABEL / BATCH-LABEL / TOTALS) at several
+// shard counts, and stay identical to a copy of the original that ingests
+// the same updates after post-restore INGEST forces the borrowed
+// classifier through its copy-on-write detach.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +31,6 @@ struct Fixture {
   routing::Scenario scenario;
   std::vector<bgp::RibEntry> entries;
   IncrementalClassifier original;
-  std::vector<std::uint8_t> v2_bytes;
   std::vector<std::uint8_t> v3_bytes;
   std::string v3_path;
   std::vector<bgp::Community> communities;  ///< every known community
@@ -49,11 +48,10 @@ struct Fixture {
       (void)original.label_of(e.route.communities.front());
       if (++queried >= 40) break;
     }
-    v2_bytes = encode_snapshot(original, SnapshotFormat::kV2);
-    v3_bytes = encode_snapshot(original, SnapshotFormat::kV3);
+    v3_bytes = encode_snapshot(original);
     v3_path = test_support::unique_temp_path("equiv_" +
                                              std::to_string(seed) + ".snap");
-    write_snapshot_bytes(v3_bytes, v3_path);
+    save_snapshot(original, v3_path);
 
     for (const auto& alpha : original.export_state().alphas)
       for (const auto& beta : alpha.betas)
@@ -71,8 +69,10 @@ struct Fixture {
     return routing::Scenario::build(cfg);
   }
 
-  [[nodiscard]] IncrementalClassifier load_v2() const {
-    auto classifier = decode_snapshot(v2_bytes);
+  /// A copy of the never-serialized original: the oracle every load path
+  /// is compared against.
+  [[nodiscard]] IncrementalClassifier unserialized() const {
+    IncrementalClassifier classifier = original;
     classifier.set_org_map(&scenario.topology().orgs);
     return classifier;
   }
@@ -99,13 +99,13 @@ void expect_totals_equal(IncrementalClassifier& a, IncrementalClassifier& b,
 
 TEST(SnapshotV3Equivalence, AllThreeLoadPathsAgreeBitForBit) {
   const Fixture fx(181);
-  auto from_v2 = fx.load_v2();
+  auto oracle = fx.unserialized();
   auto from_v3_heap = decode_snapshot(fx.v3_bytes);
   from_v3_heap.set_org_map(&fx.scenario.topology().orgs);
   const auto mapped = MappedSnapshot::open(fx.v3_path);
   auto from_v3_mmap = fx.borrow_v3(mapped);
 
-  EXPECT_EQ(from_v2.export_state(), fx.original.export_state());
+  EXPECT_EQ(oracle.export_state(), fx.original.export_state());
   EXPECT_EQ(from_v3_heap.export_state(), fx.original.export_state());
   EXPECT_EQ(from_v3_mmap.export_state(), fx.original.export_state());
 
@@ -119,38 +119,38 @@ TEST(SnapshotV3Equivalence, AllThreeLoadPathsAgreeBitForBit) {
               });
     return labels;
   };
-  EXPECT_EQ(sorted_labels(from_v3_mmap), sorted_labels(from_v2));
-  EXPECT_EQ(sorted_labels(from_v3_heap), sorted_labels(from_v2));
+  EXPECT_EQ(sorted_labels(from_v3_mmap), sorted_labels(oracle));
+  EXPECT_EQ(sorted_labels(from_v3_heap), sorted_labels(oracle));
 
   // Every label answer agrees (this reclassifies the dirty alphas through
   // both the owned and the borrowed code paths).
   ASSERT_GT(fx.communities.size(), 50u);
   for (const auto community : fx.communities)
-    EXPECT_EQ(from_v3_mmap.label_of(community), from_v2.label_of(community))
+    EXPECT_EQ(from_v3_mmap.label_of(community), oracle.label_of(community))
         << community.to_string();
-  expect_totals_equal(from_v2, from_v3_mmap, "totals-after-labels");
+  expect_totals_equal(oracle, from_v3_mmap, "totals-after-labels");
 }
 
-TEST(SnapshotV3Equivalence, DetachAfterIngestMatchesV2Load) {
+TEST(SnapshotV3Equivalence, DetachAfterIngestMatchesTheOriginal) {
   const Fixture fx(182);
-  auto from_v2 = fx.load_v2();
+  auto oracle = fx.unserialized();
   const auto mapped = MappedSnapshot::open(fx.v3_path);
   auto from_v3_mmap = fx.borrow_v3(mapped);
 
   // Interleave queries (borrowed answers) with the detaching ingest.
-  (void)from_v2.label_of(fx.communities.front());
+  (void)oracle.label_of(fx.communities.front());
   (void)from_v3_mmap.label_of(fx.communities.front());
 
   const auto rest = std::span(fx.entries).subspan(fx.entries.size() / 2);
-  from_v2.ingest(rest);
+  oracle.ingest(rest);
   from_v3_mmap.ingest(rest);
   EXPECT_FALSE(from_v3_mmap.is_borrowed());
 
-  EXPECT_EQ(from_v3_mmap.export_state(), from_v2.export_state());
+  EXPECT_EQ(from_v3_mmap.export_state(), oracle.export_state());
   for (const auto community : fx.communities)
-    EXPECT_EQ(from_v3_mmap.label_of(community), from_v2.label_of(community))
+    EXPECT_EQ(from_v3_mmap.label_of(community), oracle.label_of(community))
         << community.to_string();
-  expect_totals_equal(from_v2, from_v3_mmap, "totals-after-detach");
+  expect_totals_equal(oracle, from_v3_mmap, "totals-after-detach");
 }
 
 TEST(SnapshotV3Equivalence, TwoBorrowersShareOneMappingIndependently) {
@@ -165,15 +165,15 @@ TEST(SnapshotV3Equivalence, TwoBorrowersShareOneMappingIndependently) {
   EXPECT_TRUE(reader.is_borrowed());
   EXPECT_EQ(reader.export_state(), fx.original.export_state());
 
-  auto from_v2 = fx.load_v2();
+  auto oracle = fx.unserialized();
   for (const auto community : fx.communities)
-    EXPECT_EQ(reader.label_of(community), from_v2.label_of(community))
+    EXPECT_EQ(reader.label_of(community), oracle.label_of(community))
         << community.to_string();
 }
 
-// The protocol surface: servers loaded from v2 and borrowed from a v3
-// mapping answer LABEL, BATCH-LABEL, and TOTALS identically at every
-// shard-pool size.
+// The protocol surface: a server over the unserialized original and one
+// borrowed from the mapping answer LABEL, BATCH-LABEL, and TOTALS
+// identically at every shard-pool size.
 TEST(SnapshotV3Equivalence, ServersAgreeOnLabelBatchLabelAndTotals) {
   const Fixture fx(184);
   for (const unsigned shards : {1u, 2u, 8u}) {
@@ -181,35 +181,36 @@ TEST(SnapshotV3Equivalence, ServersAgreeOnLabelBatchLabelAndTotals) {
     ServerConfig cfg;
     cfg.port = 0;
     cfg.shards = shards;
-    Server v2_server(fx.load_v2(), cfg);
+    Server oracle_server(fx.unserialized(), cfg);
     Server v3_server(fx.borrow_v3(mapped), cfg);
-    v2_server.start();
+    oracle_server.start();
     v3_server.start();
 
-    auto v2_client = Client::connect("127.0.0.1", v2_server.port());
+    auto oracle_client = Client::connect("127.0.0.1", oracle_server.port());
     auto v3_client = Client::connect("127.0.0.1", v3_server.port());
     for (const auto community : fx.communities)
-      EXPECT_EQ(v3_client.label(community), v2_client.label(community))
+      EXPECT_EQ(v3_client.label(community), oracle_client.label(community))
           << "shards=" << shards << " " << community.to_string();
 
     // BATCH-LABEL over the binary protocol, one round trip.
-    auto v2_batch = Client::connect("127.0.0.1", v2_server.port());
+    auto oracle_batch = Client::connect("127.0.0.1", oracle_server.port());
     auto v3_batch = Client::connect("127.0.0.1", v3_server.port());
-    v2_batch.negotiate_binary();
+    oracle_batch.negotiate_binary();
     v3_batch.negotiate_binary();
-    EXPECT_EQ(v3_batch.labels(fx.communities), v2_batch.labels(fx.communities))
+    EXPECT_EQ(v3_batch.labels(fx.communities),
+              oracle_batch.labels(fx.communities))
         << "shards=" << shards;
 
-    const auto v2_totals = v2_client.totals();
+    const auto oracle_totals = oracle_client.totals();
     const auto v3_totals = v3_client.totals();
-    EXPECT_EQ(v3_totals.communities, v2_totals.communities);
-    EXPECT_EQ(v3_totals.information, v2_totals.information);
-    EXPECT_EQ(v3_totals.action, v2_totals.action);
-    EXPECT_EQ(v3_totals.unclassified, v2_totals.unclassified);
+    EXPECT_EQ(v3_totals.communities, oracle_totals.communities);
+    EXPECT_EQ(v3_totals.information, oracle_totals.information);
+    EXPECT_EQ(v3_totals.action, oracle_totals.action);
+    EXPECT_EQ(v3_totals.unclassified, oracle_totals.unclassified);
 
-    v2_server.request_stop();
+    oracle_server.request_stop();
     v3_server.request_stop();
-    v2_server.wait();
+    oracle_server.wait();
     v3_server.wait();
   }
 }

@@ -4,8 +4,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -196,14 +197,6 @@ TEST(Snapshot, ConfigsSurviveRoundTrip) {
   EXPECT_FALSE(restored.observation_config().sibling_aware);
 }
 
-TEST(Snapshot, StreamRoundTrip) {
-  const auto classifier = populated_classifier();
-  std::stringstream stream;
-  save_snapshot(classifier, stream);
-  auto restored = load_snapshot(stream);
-  EXPECT_EQ(restored.export_state(), classifier.export_state());
-}
-
 TEST(Snapshot, FileRoundTripIsAtomic) {
   const auto classifier = populated_classifier();
   const std::string path = test_support::unique_temp_path("snap.bin");
@@ -279,13 +272,14 @@ TEST(Snapshot, DecodeCountersSurviveRoundTrip) {
 
 TEST(Snapshot, RejectsFlippedChecksumByte) {
   auto bytes = encode_snapshot(populated_classifier());
-  bytes[12] ^= 0x01;  // first checksum byte
+  // The footer's stored segment-table checksum sits 16 bytes into it.
+  bytes[snapshot_regions(bytes).back().offset + 16] ^= 0x01;
   EXPECT_NE(decode_error(bytes).find("checksum"), std::string::npos);
 }
 
 TEST(Snapshot, RejectsFlippedPayloadByte) {
   auto bytes = encode_snapshot(populated_classifier());
-  bytes.back() ^= 0x01;
+  bytes[snapshot_regions(bytes).front().offset] ^= 0x01;  // meta column
   EXPECT_NE(decode_error(bytes).find("checksum"), std::string::npos);
 }
 
@@ -295,28 +289,20 @@ TEST(Snapshot, RejectsTrailingBytes) {
   EXPECT_THROW((void)decode_snapshot(bytes), SnapshotError);
 }
 
-// --- v3 columnar format -------------------------------------------------
-
-TEST(SnapshotV3, DefaultWriteFormatIsStillV2) {
-  // Old builds must keep reading snapshots written with default options.
-  const auto bytes = encode_snapshot(populated_classifier());
-  ASSERT_GT(bytes.size(), 12u);
-  EXPECT_EQ(bytes[8], 2u);  // u32 LE version field
-}
+// --- columnar image: version, mapped reading, regions ------------------
 
 TEST(SnapshotV3, EmptyStateRoundTrips) {
   IncrementalClassifier empty;
-  auto restored =
-      decode_snapshot(encode_snapshot(empty, SnapshotFormat::kV3));
+  auto restored = decode_snapshot(encode_snapshot(empty));
   EXPECT_EQ(restored.export_state(), empty.export_state());
   EXPECT_EQ(restored.label_of(bgp::Community(100, 1)), Intent::kUnclassified);
 }
 
 TEST(SnapshotV3, HeapDecodeRoundTripsLosslessly) {
   const auto classifier = populated_classifier();
-  const auto bytes = encode_snapshot(classifier, SnapshotFormat::kV3);
+  const auto bytes = encode_snapshot(classifier);
   ASSERT_GT(bytes.size(), 12u);
-  EXPECT_EQ(bytes[8], 3u);
+  EXPECT_EQ(bytes[8], kSnapshotVersion);
   auto restored = decode_snapshot(bytes);
   EXPECT_EQ(restored.export_state(), classifier.export_state());
   EXPECT_EQ(restored.entries_ingested(), classifier.entries_ingested());
@@ -333,8 +319,7 @@ TEST(SnapshotV3, ConfigsSurviveRoundTrip) {
   IncrementalClassifier classifier(cc, oc);
   classifier.ingest(entry(61, {61, 100, 201}, {bgp::Community(100, 1)}));
 
-  const auto restored =
-      decode_snapshot(encode_snapshot(classifier, SnapshotFormat::kV3));
+  const auto restored = decode_snapshot(encode_snapshot(classifier));
   EXPECT_EQ(restored.classifier_config().min_gap, 9u);
   EXPECT_DOUBLE_EQ(restored.classifier_config().ratio_threshold, 2.25);
   EXPECT_TRUE(restored.classifier_config().mean_of_ratios);
@@ -344,7 +329,7 @@ TEST(SnapshotV3, ConfigsSurviveRoundTrip) {
 TEST(SnapshotV3, MappedSnapshotServesBorrowedLabels) {
   auto classifier = populated_classifier();
   const std::string path = test_support::unique_temp_path("snap_v3.bin");
-  save_snapshot(classifier, path, SnapshotFormat::kV3);
+  save_snapshot(classifier, path);
 
   const auto mapped = MappedSnapshot::open(path);
   EXPECT_EQ(mapped->classifier_config().min_gap,
@@ -378,7 +363,7 @@ TEST(SnapshotV3, MappedSnapshotServesBorrowedLabels) {
 TEST(SnapshotV3, FirstIngestDetachesTheBorrow) {
   auto original = populated_classifier();
   const std::string path = test_support::unique_temp_path("snap_v3d.bin");
-  save_snapshot(original, path, SnapshotFormat::kV3);
+  save_snapshot(original, path);
 
   const auto mapped = MappedSnapshot::open(path);
   IncrementalClassifier borrowed(mapped->classifier_config(),
@@ -393,16 +378,35 @@ TEST(SnapshotV3, FirstIngestDetachesTheBorrow) {
   std::remove(path.c_str());
 }
 
+// Older versions are refused by both readers with re-ingest guidance, and
+// the file is left exactly as it was.
 TEST(SnapshotV3, MappedOpenRejectsV2WithResaveGuidance) {
-  const std::string path = test_support::unique_temp_path("snap_v2m.bin");
-  save_snapshot(populated_classifier(), path, SnapshotFormat::kV2);
-  try {
-    (void)MappedSnapshot::open(path);
-    FAIL() << "a v2 file must not open as a mapping";
-  } catch (const SnapshotError& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("v3"), std::string::npos) << what;
-    EXPECT_NE(what.find("--snapshot-mmap"), std::string::npos) << what;
+  const std::string path = test_support::unique_temp_path("snap_old.bin");
+  for (const int version : {1, 2, 3}) {
+    auto bytes = encode_snapshot(populated_classifier());
+    bytes[8] = static_cast<std::uint8_t>(version);  // u32 LE version field
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    for (const bool mapped : {true, false}) {
+      try {
+        if (mapped)
+          (void)MappedSnapshot::open(path);
+        else
+          (void)load_snapshot(path);
+        FAIL() << "version " << version << " must be refused";
+      } catch (const SnapshotError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("no longer supported"), std::string::npos) << what;
+        EXPECT_NE(what.find("re-ingest"), std::string::npos) << what;
+      }
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> after(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    EXPECT_EQ(after, bytes) << "version " << version;
   }
   std::remove(path.c_str());
 }
@@ -414,9 +418,8 @@ TEST(SnapshotV3, MappedOpenRejectsMissingFile) {
 }
 
 TEST(SnapshotV3, RegionsCoverTheWholeImage) {
-  const auto bytes =
-      encode_snapshot(populated_classifier(), SnapshotFormat::kV3);
-  const auto regions = snapshot_v3_regions(bytes);
+  const auto bytes = encode_snapshot(populated_classifier());
+  const auto regions = snapshot_regions(bytes);
   ASSERT_EQ(regions.size(), 28u);  // 26 segments + table + footer
   // Regions are disjoint, in order, and the footer ends the file; the gaps
   // between them are validated-zero alignment padding.

@@ -1,4 +1,4 @@
-// v3 snapshot corruption fuzz sweep (docs/ROBUSTNESS.md): seeded
+// Columnar snapshot corruption fuzz sweep (docs/ROBUSTNESS.md): seeded
 // bit-flip / truncation / splice / length-lie damage aimed at every named
 // region of a columnar image — each column segment, the segment table, and
 // the footer.  The contract under test: every corruption is rejected with
@@ -52,14 +52,14 @@ const std::vector<std::uint8_t>& base_image() {
                                                    bgp::Community(999, 30)}));
     classifier.ingest(entry(61, {61, 64512, 201}, {bgp::Community(64512, 7)}));
     (void)classifier.label_of(bgp::Community(100, 20000));
-    return encode_snapshot(classifier, SnapshotFormat::kV3);
+    return encode_snapshot(classifier);
   }();
   return bytes;
 }
 
 const std::vector<SnapshotRegion>& base_regions() {
   static const std::vector<SnapshotRegion> regions =
-      snapshot_v3_regions(base_image());
+      snapshot_regions(base_image());
   return regions;
 }
 

@@ -1,9 +1,9 @@
 // Journal corruption fuzz sweep (docs/ROBUSTNESS.md): seeded
 // truncation / bit-flip / splice / length-lie damage on journal segments,
-// plus targeted CRC-field and whole-segment faults.  The contract under
-// test: tolerant recovery keeps every record before the first damaged
-// frame and physically truncates the rest; strict recovery refuses with an
-// actionable error.
+// plus targeted checksum-field, footer-hash and whole-segment faults.  The
+// contract under test: tolerant recovery keeps every record before the
+// first damaged frame and physically truncates the rest; strict recovery
+// refuses with an actionable error.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -28,8 +28,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Journal frames: 8-byte header = payload length u32 LE + CRC u32 LE.
-constexpr mrt::FrameLayout kJournalFrameLayout{8, 0, false};
+/// Journal frames: 12-byte header = payload length u32 LE + XXH64 u64 LE.
+constexpr mrt::FrameLayout kJournalFrameLayout{kFrameHeaderBytes, 0, false};
 
 std::vector<std::uint8_t> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -208,7 +208,8 @@ TEST(JournalCorruption, SweepOnAMiddleSegmentDropsAllLaterSegments) {
 }
 
 TEST(JournalCorruption, BadChecksumInAFrameHeaderIsDetected) {
-  // Flip one bit inside the stored CRC field itself (header offset 4..8):
+  // Flip one bit inside the stored checksum field itself (header offset
+  // 4..12):
   // the payload is untouched but no longer matches its checksum.  Aim at
   // the fullest non-head segment so the cut lands between records.
   std::size_t pick = 1;
@@ -237,6 +238,44 @@ TEST(JournalCorruption, BadChecksumInAFrameHeaderIsDetected) {
   strict_image[spans[victim].offset + 4] ^= 0x01;
   write_file(strict_target, strict_image);
   expect_strict_refuses(strict_dir, "badcrc-strict");
+}
+
+// Two whole frames of a sealed segment trade places: each still passes its
+// own checksum and the record count is unchanged, so only the footer hash,
+// which chains the frame checksums in order, can tell.
+TEST(JournalCorruption, SwappedFramesBreakTheFooterHash) {
+  const std::size_t middle = base().scan.segments.size() / 2;
+  const SegmentInfo& segment = base().scan.segments[middle];
+  ASSERT_TRUE(segment.sealed);
+
+  const auto swap_frames = [&](const CaseDir& dir) {
+    const fs::path target = dir.path / fs::path(segment.path).filename();
+    const std::vector<std::uint8_t> image = read_file(target);
+    const std::vector<mrt::RecordSpan> spans = index_segment_frames(image);
+    ASSERT_GE(spans.size(), 3u);  // two records + footer
+    // The first two frames are adjacent: rotating their bytes swaps them.
+    std::vector<std::uint8_t> swapped = image;
+    const auto at = [&](std::uint64_t offset) {
+      return swapped.begin() + static_cast<std::ptrdiff_t>(offset);
+    };
+    std::rotate(at(spans[0].offset), at(spans[1].offset),
+                at(spans[1].offset + spans[1].length));
+    ASSERT_NE(swapped, image);
+    write_file(target, swapped);
+  };
+
+  CaseDir dir("swapped");
+  swap_frames(dir);
+  const ScanSummary scan = scan_journal(dir.path.string());
+  EXPECT_TRUE(scan.torn);
+  EXPECT_NE(scan.torn_detail.find("footer hash"), std::string::npos)
+      << scan.torn_detail;
+  // Every frame of the damaged segment still reads as a valid record.
+  EXPECT_EQ(scan.records, segment.first_record + segment.records);
+
+  CaseDir strict_dir("swapped_strict");
+  swap_frames(strict_dir);
+  expect_strict_refuses(strict_dir, "swapped-strict");
 }
 
 TEST(JournalCorruption, MissingMiddleSegmentBreaksContinuity) {

@@ -47,6 +47,17 @@ JournalConfig small_segments(const ScratchDir& dir,
   return cfg;
 }
 
+std::vector<std::uint8_t> read_whole(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_whole(const std::string& path, std::span<const std::uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 std::vector<std::uint8_t> announce_payload(std::uint32_t timestamp) {
   std::vector<std::uint8_t> payload;
   encode_announce_record(payload, bgp::AsPath({61, 100, 201}),
@@ -393,6 +404,46 @@ TEST(Checkpoint, CorruptFilesAreRefused) {
 
   EXPECT_THROW((void)load_checkpoint(dir.str() + "/missing.ckpt"),
                JournalError);
+
+  // Every byte is validated: each single-bit flip anywhere in the file and
+  // each truncation length is refused with a JournalError.
+  save_checkpoint(dir.str(), 7, data);
+  const std::vector<std::uint8_t> image = read_whole(path);
+  ASSERT_GT(image.size(), kCheckpointHeaderBytes);
+  for (std::size_t i = 0; i < image.size(); ++i)
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> damaged = image;
+      damaged[i] ^= static_cast<std::uint8_t>(1u << bit);
+      write_whole(path, damaged);
+      EXPECT_THROW((void)load_checkpoint(path), JournalError)
+          << "byte " << i << " bit " << bit;
+    }
+  for (std::size_t length = 0; length < image.size(); ++length) {
+    write_whole(path, std::span(image).first(length));
+    EXPECT_THROW((void)load_checkpoint(path), JournalError)
+        << "length " << length;
+  }
+}
+
+TEST(Checkpoint, OlderVersionIsRefusedWithAVersionMessage) {
+  const ScratchDir dir("ckpt_v1");
+  CheckpointData data;
+  data.state = StreamEngine().export_state();
+  save_checkpoint(dir.str(), 7, data);
+  const std::string path = checkpoint_path(dir.str(), 7);
+  std::vector<std::uint8_t> image = read_whole(path);
+  image[8] = 1;  // u32 LE version field
+  write_whole(path, image);
+  try {
+    (void)load_checkpoint(path);
+    FAIL() << "a version-1 checkpoint must be refused";
+  } catch (const JournalError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find(util::format("version %u", kCheckpointVersion)),
+              std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

@@ -8,11 +8,15 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "bgp/route.hpp"
 #include "mrt/source.hpp"
+#include "stream/checkpoint.hpp"
 #include "stream/engine.hpp"
 #include "stream/synth.hpp"
 #include "util/strings.hpp"
@@ -70,6 +74,18 @@ bgp::RibEntry entry(std::uint32_t vp, std::vector<bgp::Asn> path,
   e.route.path = bgp::AsPath(std::move(path));
   e.route.communities = std::move(communities);
   return e;
+}
+
+/// Every file of `directory` by name, with its bytes.
+std::map<std::string, std::vector<std::uint8_t>> read_directory(
+    const fs::path& directory) {
+  std::map<std::string, std::vector<std::uint8_t>> files;
+  for (const auto& entry : fs::directory_iterator(directory)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] = {
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+  return files;
 }
 
 TEST(Recovery, FreshDirectoryRecoversToFreshEngine) {
@@ -258,6 +274,47 @@ TEST(Recovery, StrictRefusesATornTailAndTolerantTruncatesIt) {
   const ScanSummary after = scan_journal(dir.str());
   EXPECT_FALSE(after.torn);
   EXPECT_GE(after.records, torn.records);
+}
+
+// A segment of another journal version is refused, never read as torn:
+// tolerant recovery truncates a torn journal, which would delete that
+// segment, every later one and every checkpoint past the cut.
+TEST(Recovery, OlderJournalVersionIsRefusedAndLeftIntact) {
+  const ScratchDir dir("oldversion");
+  JournalConfig cfg = journal_config(dir);
+  cfg.max_segment_bytes = 8 * 1024;  // several segments
+  {
+    StreamEngine engine;
+    engine.attach_journal(std::make_unique<JournalWriter>(cfg, 0), 100);
+    ingest(engine, small_stream());
+  }
+  const ScanSummary clean = scan_journal(dir.str());
+  ASSERT_GT(clean.segments.size(), 1u);
+  ASSERT_FALSE(list_checkpoints(dir.str()).empty());
+  {
+    // Segment 0 claims version 1, as one an older build wrote would.
+    std::fstream file(clean.segments.front().path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(8);  // u32 LE version field
+    file.put('\x01');
+  }
+  const auto before = read_directory(dir.path);
+
+  RecoveryOptions strict;
+  strict.strict = true;
+  for (const RecoveryOptions& options : {RecoveryOptions{}, strict}) {
+    try {
+      (void)recover_stream(cfg, options);
+      FAIL() << "a version-1 segment must be refused";
+    } catch (const JournalError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+      EXPECT_NE(what.find(util::format("version %u", kJournalVersion)),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(read_directory(dir.path), before);
+  }
 }
 
 TEST(Recovery, InspectJournalCountsRecordTypes) {
