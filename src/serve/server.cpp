@@ -231,7 +231,7 @@ void Server::start() {
       table->backing = view;
     } else {
       for (const auto& [community, intent] : classifier_.label_snapshot())
-        table->labels.emplace(community.wire(), intent);
+        table->labels.assign(community.wire(), intent);
     }
     labels_.publish(std::move(table));
     classic_stale_.store(classifier_.dirty_alpha_count() > 0,
@@ -241,7 +241,7 @@ void Server::start() {
     table->version = 1;
     std::uint64_t as_of = 0;
     for (const auto& [community, intent] : engine_->label_snapshot(as_of))
-      table->labels.emplace(community.wire(), intent);
+      table->labels.assign(community.wire(), intent);
     table->as_of_seq = as_of;
     labels_.publish(std::move(table));
   }
@@ -588,7 +588,8 @@ void Server::dispatch_binary(Shard& shard, Conn& conn, std::uint8_t op,
       if (body.size() != 4) break;
       const auto begin = std::chrono::steady_clock::now();
       const core::Intent label =
-          query_label(bgp::Community::from_wire(bin::get_u32(body.data())));
+          query_label(shard,
+                      bgp::Community::from_wire(bin::get_u32(body.data())));
       const std::chrono::duration<double, std::micro> elapsed =
           std::chrono::steady_clock::now() - begin;
       queries_served_.fetch_add(1, std::memory_order_relaxed);
@@ -601,13 +602,13 @@ void Server::dispatch_binary(Shard& shard, Conn& conn, std::uint8_t op,
       const std::uint32_t count = bin::get_u32(body.data());
       if (body.size() != 4 + 4 * static_cast<std::size_t>(count)) break;
       const auto begin = std::chrono::steady_clock::now();
-      const auto snapshot = query_snapshot();
+      const LabelTable& snapshot = query_snapshot(shard);
       shard.batch_scratch.clear();
       shard.batch_scratch.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         const bgp::Community community =
             bgp::Community::from_wire(bin::get_u32(body.data() + 4 + 4 * i));
-        shard.batch_scratch.push_back(lookup(*snapshot, community));
+        shard.batch_scratch.push_back(lookup(snapshot, community));
       }
       const std::chrono::duration<double, std::micro> elapsed =
           std::chrono::steady_clock::now() - begin;
@@ -647,19 +648,16 @@ void Server::dispatch_binary(Shard& shard, Conn& conn, std::uint8_t op,
   conn.close_after_flush = true;
 }
 
-std::shared_ptr<const LabelTable> Server::query_snapshot() {
+const LabelTable& Server::query_snapshot(Shard& shard) {
   if (engine_ != nullptr) {
     // Unsettled window state could change any answer: settle it (one
     // engine-mutex pass that publishes the resulting events), then fold
     // the events into a fresh epoch.  Warm path — no dirty state, no new
     // events — touches no lock at all.
     if (engine_->has_pending_dirty()) engine_->reclassify();
-    auto snapshot = labels_.load();
-    if (snapshot->as_of_seq < engine_->published_seq()) {
+    if (labels_.read(shard.labels).as_of_seq < engine_->published_seq())
       refresh_stream_epoch();
-      snapshot = labels_.load();
-    }
-    return snapshot;
+    return labels_.read(shard.labels);
   }
   // Classic mode: the epoch only goes stale when the server started with
   // preloaded-but-dirty state (INGEST publishes eagerly).  Settle once.
@@ -667,52 +665,56 @@ std::shared_ptr<const LabelTable> Server::query_snapshot() {
     const std::lock_guard<std::mutex> lock(classifier_mutex_);
     publish_classic_epoch_locked();
   }
-  return labels_.load();
+  return labels_.read(shard.labels);
 }
 
-dict::Intent Server::query_label(bgp::Community community) {
-  return lookup(*query_snapshot(), community);
+dict::Intent Server::query_label(Shard& shard, bgp::Community community) {
+  return lookup(query_snapshot(shard), community);
 }
 
 void Server::publish_classic_epoch_locked() {
   std::vector<std::pair<core::Community, core::Intent>> settled;
   classifier_.settle_dirty(settled);
   classic_stale_.store(false, std::memory_order_release);
-  if (settled.empty()) return;
-  auto next = labels_.clone_for_update();
-  for (const auto& [community, intent] : settled)
-    next->labels[community.wire()] = intent;
-  labels_.publish(std::move(next));
+  // Classic epochs carry no stream sequence: a settle that flips no label
+  // publishes nothing.
+  labels_.publish_changes(settled, 0);
 }
 
 void Server::refresh_stream_epoch() {
   const std::lock_guard<std::mutex> lock(refresh_mutex_);
-  auto current = labels_.load();
+  const auto current = labels_.load();
   if (current->as_of_seq >= engine_->published_seq()) return;  // raced ahead
-  auto next = std::make_shared<LabelTable>(*current);
-  ++next->version;
-  std::uint64_t after = next->as_of_seq;
+  std::vector<LabelView::Change> changes;
+  std::uint64_t after = current->as_of_seq;
   for (;;) {
     bool gap = false;
     const std::vector<stream::Event> events =
         engine_->events_since(after, kEventBatch, gap);
     if (gap) {
       // The ring trimmed past this epoch (possible after a long all-warm
-      // stretch): rebuild from a full snapshot instead of a broken delta.
+      // stretch): diff a full snapshot against the epoch instead of a
+      // broken delta.  A label the snapshot no longer names falls back to
+      // unclassified; the snapshot's own pairs come later and win.
+      changes.clear();
+      current->labels.for_each([&](std::uint32_t wire, core::Intent) {
+        changes.emplace_back(core::Community::from_wire(wire),
+                             core::Intent::kUnclassified);
+      });
       std::uint64_t as_of = 0;
-      next->labels.clear();
-      for (const auto& [community, intent] : engine_->label_snapshot(as_of))
-        next->labels.emplace(community.wire(), intent);
+      const auto snapshot = engine_->label_snapshot(as_of);
+      changes.insert(changes.end(), snapshot.begin(), snapshot.end());
       after = as_of;
       continue;
     }
     if (events.empty()) break;
     for (const stream::Event& event : events)
-      next->labels[event.change.community.wire()] = event.change.current;
+      changes.emplace_back(event.change.community, event.change.current);
     after = events.back().seq;
   }
-  next->as_of_seq = after;
-  labels_.publish(std::move(next));
+  // Publishes even when the events cancel out, as long as `after`
+  // advanced: a stale as_of_seq would send every LABEL back here.
+  labels_.publish_changes(changes, after);
 }
 
 bool Server::flush_conn(Shard& shard, Conn& conn) {
@@ -864,7 +866,7 @@ bool Server::handle_command(Shard& shard, const std::string& line,
         return true;
       }
       const auto begin = std::chrono::steady_clock::now();
-      const core::Intent label = query_label(*community);
+      const core::Intent label = query_label(shard, *community);
       const std::chrono::duration<double, std::micro> elapsed =
           std::chrono::steady_clock::now() - begin;
       queries_served_.fetch_add(1, std::memory_order_relaxed);
@@ -943,9 +945,10 @@ bool Server::handle_command(Shard& shard, const std::string& line,
         } else {
           classifier_.record_decode_outcome(ingested, errors);
           entries = classifier_.entries_ingested();
-          // Settle the new evidence into the next RCU epoch before the
-          // response commits: a LABEL that observes this OK observes the
-          // labels it implies.
+          // Settle the new evidence before the response commits: a LABEL
+          // that observes this OK observes the labels it implies — from
+          // a new epoch when a label flipped, from the current one (which
+          // already answers them) when none did.
           publish_classic_epoch_locked();
         }
       }

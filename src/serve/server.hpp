@@ -10,10 +10,13 @@
 //     unavailable, shard 0 owns the single listener and hands accepted
 //     fds to the other shards round-robin over eventfd-signalled queues.
 //   * Classification state is published RCU-style (serve/labels.hpp): a
-//     warm LABEL query loads an atomic shared_ptr snapshot and does one
-//     hash lookup — it never touches the classifier mutex.  INGEST (and
-//     stream reclassification) build the next epoch copy-on-write and
-//     publish it with a single pointer swap.
+//     warm LABEL query reads the shard's cached epoch after one atomic
+//     load and probes one flat array — it takes no lock, the classifier
+//     mutex included.  INGEST (and
+//     stream reclassification) hand their settled labels to
+//     LabelView::publish_changes, which publishes a copy-on-write epoch
+//     with a single pointer swap only when a label actually changed (or,
+//     in stream mode, the engine sequence advanced).
 //   * Two wire protocols share the port: the line protocol of
 //     serve/protocol.hpp (unchanged, first byte is printable ASCII) and
 //     the length-prefixed binary protocol of serve/binary.hpp (first
@@ -115,7 +118,8 @@ struct ServerStats {
   std::uint64_t decode_records_skipped = 0;
   double p50_query_us = 0.0;  ///< over a window of recent LABEL queries
   double p99_query_us = 0.0;
-  /// RCU label epochs published so far (serve/labels.hpp version).
+  /// RCU label epochs published so far (serve/labels.hpp version): one
+  /// per publish that changed a label or advanced the stream sequence.
   std::uint64_t label_epochs = 0;
   /// epoll_wait returns summed over every shard — the idle-burn
   /// regression counter: an idle server must keep this near zero.
@@ -228,6 +232,8 @@ class Server {
     mutable std::mutex latency_mutex;
     /// Scratch for BATCH-LABEL answers, reused across requests.
     std::vector<dict::Intent> batch_scratch;
+    /// This shard's cached label epoch (LabelView::read).
+    LabelView::Reader labels;
   };
 
   void shard_loop(Shard& shard);
@@ -245,11 +251,13 @@ class Server {
                                     Conn& conn);
   void dispatch_binary(Shard& shard, Conn& conn, std::uint8_t op,
                        std::span<const unsigned char> body);
-  /// The RCU fast path: loads the current epoch, refreshing it first when
-  /// the stream engine published past it (or holds unsettled dirty
-  /// state).  Lock-free whenever the snapshot is warm.
-  [[nodiscard]] std::shared_ptr<const LabelTable> query_snapshot();
-  [[nodiscard]] dict::Intent query_label(bgp::Community community);
+  /// The RCU fast path: the current epoch through the shard's cached
+  /// reader, refreshing it first when the stream engine published past it
+  /// (or holds unsettled dirty state).  Lock-free whenever the snapshot
+  /// is warm; valid until the shard's next query.
+  [[nodiscard]] const LabelTable& query_snapshot(Shard& shard);
+  [[nodiscard]] dict::Intent query_label(Shard& shard,
+                                         bgp::Community community);
   /// Non-blocking flush of conn.out; updates EPOLLOUT registration.
   /// Returns false on a dead socket.
   [[nodiscard]] bool flush_conn(Shard& shard, Conn& conn);
@@ -272,11 +280,12 @@ class Server {
   void notify_all_shards() noexcept;
 
   // --- label epochs (RCU write side) ---
-  /// Classic mode: settles dirty alphas and publishes the next epoch.
-  /// Caller holds classifier_mutex_.
+  /// Classic mode: settles dirty alphas and publishes the next epoch when
+  /// a label changed.  Caller holds classifier_mutex_.
   void publish_classic_epoch_locked();
-  /// Stream mode: folds engine deltas (or a full snapshot on a gap) into
-  /// a fresh epoch when the current one is stale.
+  /// Stream mode: folds engine deltas (or, on a ring gap, a full snapshot
+  /// diffed against the epoch) into a fresh epoch when the current one is
+  /// stale.
   void refresh_stream_epoch();
 
   void record_query_latency(Shard& shard, double microseconds);

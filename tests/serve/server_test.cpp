@@ -122,8 +122,49 @@ TEST(Server, IngestViaProtocolMatchesDirectIngest) {
   EXPECT_EQ(got.information, want.information);
   EXPECT_EQ(got.action, want.action);
   EXPECT_EQ(got.unclassified, want.unclassified);
-  EXPECT_EQ(client.label(bgp::Community(100, 20000)),
-            reference.label_of(bgp::Community(100, 20000)));
+  std::size_t classified = 0;
+  for (const auto& e : feed) {
+    for (const bgp::Community c : e.route.communities) {
+      const Intent want_label = reference.label_of(c);
+      EXPECT_EQ(client.label(c), want_label) << c.to_string();
+      if (want_label != Intent::kUnclassified) ++classified;
+    }
+  }
+  EXPECT_GT(classified, 0u);
+
+  server.request_stop();
+  server.wait();
+}
+
+// An INGEST publishes a label epoch only when it flips a label: the flip
+// is visible to the next LABEL on the same connection (read-your-writes),
+// and the same evidence again answers OK without a new epoch.
+TEST(Server, IngestThatChangesNoLabelPublishesNoEpoch) {
+  const bgp::Community community(100, 20000);
+  IncrementalClassifier reference;
+  reference.ingest(entry(61, {61, 100, 201}, {community}));
+  const Intent want = reference.label_of(community);
+  ASSERT_NE(want, Intent::kUnclassified);
+
+  Server server(IncrementalClassifier(), loopback_config());
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  const auto label_epochs = [&client] {
+    const auto pairs = parse_ok_response(client.request("STATS"));
+    EXPECT_TRUE(pairs);
+    return pairs ? std::stoull(pairs->at("label_epochs")) : 0ULL;
+  };
+  ASSERT_EQ(client.label(community), Intent::kUnclassified);
+  const auto before = label_epochs();
+
+  const std::string ingest = "INGEST 61,100,201 100:20000";
+  EXPECT_EQ(client.request(ingest), "OK ingested=1 errors=0 entries=1");
+  EXPECT_EQ(label_epochs(), before + 1);
+  EXPECT_EQ(client.label(community), want);
+
+  EXPECT_EQ(client.request(ingest), "OK ingested=1 errors=0 entries=2");
+  EXPECT_EQ(label_epochs(), before + 1);
+  EXPECT_EQ(client.label(community), want);
 
   server.request_stop();
   server.wait();

@@ -12,9 +12,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -237,6 +239,70 @@ TEST(Subscribe, LaggedSubscriberIsDroppedAndCounted) {
   const auto pairs = parse_ok_response(observer.request("STATS"));
   ASSERT_TRUE(pairs);
   EXPECT_EQ(pairs->at("subscribers_dropped"), "1");
+
+  server.request_stop();
+  server.wait();
+}
+
+// A stream-mode server whose published label epoch falls off the engine's
+// event ring — the engine runs more than kMaxBufferedEvents events past
+// it with no LABEL in between — resyncs the epoch from a full snapshot:
+// afterwards every LABEL equals engine.label_snapshot(), including a
+// label the epoch held that the window has since expired.
+TEST(StreamServer, EpochResyncsFromSnapshotAfterRingGap) {
+  stream::StreamEngine engine;
+  const bgp::Community expiring(100, 1);
+  engine.announce(entry(61, {61, 100, 201}, {expiring}), 10);
+  engine.reclassify();
+
+  Server server(engine, loopback_config());
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  client.negotiate_binary();
+  ASSERT_EQ(client.label(expiring), dict::Intent::kInformation);
+  const std::uint64_t epochs_before = server.stats().label_epochs;
+  const std::uint64_t as_of = engine.published_seq();
+
+  // Past the window (168 hourly epochs), so the first announce expires
+  // 100:1; every announce then carries a fresh community, one event each.
+  const std::uint32_t later = 10 + 170 * 3600;
+  for (std::uint32_t i = 0;
+       engine.first_buffered_seq() <= as_of + 1 && i < 90000; ++i) {
+    engine.announce(
+        entry(100000 + i, {100000 + i, 1000 + (i >> 12), 201},
+              {bgp::Community(static_cast<std::uint16_t>(1000 + (i >> 12)),
+                              static_cast<std::uint16_t>(i & 0xFFF))}),
+        later);
+    if ((i & 0xFFF) == 0xFFF) engine.reclassify();
+  }
+  engine.reclassify();
+  ASSERT_GT(engine.first_buffered_seq(), as_of + 1);
+  EXPECT_EQ(server.stats().label_epochs, epochs_before);  // no LABEL yet
+
+  std::uint64_t snapshot_seq = 0;
+  const auto snapshot = engine.label_snapshot(snapshot_seq);
+  ASSERT_GE(snapshot.size(), stream::StreamEngine::kMaxBufferedEvents);
+  ASSERT_EQ(engine.label_of(expiring), dict::Intent::kUnclassified);
+
+  std::vector<bgp::Community> communities{expiring};
+  std::vector<dict::Intent> want{dict::Intent::kUnclassified};
+  for (const auto& [community, intent] : snapshot) {
+    communities.push_back(community);
+    want.push_back(intent);
+  }
+  std::vector<dict::Intent> got;
+  constexpr std::size_t kBatch = 4096;
+  for (std::size_t at = 0; at < communities.size(); at += kBatch) {
+    const std::size_t n = std::min(kBatch, communities.size() - at);
+    const auto answers =
+        client.labels(std::span(communities).subspan(at, n));
+    got.insert(got.end(), answers.begin(), answers.end());
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << communities[i].to_string();
+  // The whole resync is one epoch.
+  EXPECT_EQ(server.stats().label_epochs, epochs_before + 1);
 
   server.request_stop();
   server.wait();
