@@ -1,16 +1,18 @@
 // Restart-to-first-query latency and cross-process page sharing for the
-// columnar snapshot (docs/SERVING.md §3, docs/PERFORMANCE.md §9).
+// state image (docs/SERVING.md §3, docs/PERFORMANCE.md §9).
 //
 // Two restart paths over the same saved file:
-//   heap  — load_snapshot(): one structural pass, then materialize owned
-//           state (the default `serve --snapshot` restore).
-//   mmap  — MappedSnapshot::open() + restore_view(): no decode, the mapping
-//           IS the state; first query binary-searches the borrowed columns
-//           (`serve --snapshot-mmap`).
+//   heap  — load_snapshot() + StreamEngine::restore_state(): decode the
+//           image and rebuild the engine (the default `serve --snapshot`
+//           restore).
+//   mmap  — MappedSnapshot::open(): no decode, the image's label columns
+//           ARE the first label epoch; the first query binary-searches them
+//           (`serve --snapshot-mmap`, which restores the engine only when
+//           a request needs it).
 // Each is timed end to end through the first LABEL answer; both verify
-// every checksum.  The speedup claim self-gates on identity: both restored
-// classifiers must export exactly the never-serialized classifier's state
-// and answer every label and TOTALS as it does.
+// every checksum.  The speedup claim self-gates on identity: the
+// heap-restored engine must export exactly the never-serialized engine's
+// state, and both paths must answer every label and TOTALS as it does.
 //
 // The sharing experiment forks two children per path which restore the
 // same snapshot simultaneously and label every community; each child
@@ -26,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,7 +39,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/incremental.hpp"
+#include "serve/labels.hpp"
 #include "serve/snapshot.hpp"
 
 using namespace bgpintent;
@@ -70,29 +73,47 @@ struct ChildReport {
 
 enum class RestorePath { kHeap, kMmap };
 
+/// The heap restart: decode the image and rebuild the engine.
+std::unique_ptr<stream::StreamEngine> heap_restore(const std::string& snap,
+                                                   const topo::OrgMap* orgs) {
+  stream::StateImage image = serve::load_snapshot(snap);
+  auto engine = std::make_unique<stream::StreamEngine>(image.config, orgs);
+  engine->restore_state(image.state, std::move(image.paths));
+  return engine;
+}
+
+/// The mmap restart's first label epoch: the image's label columns,
+/// exactly as Server::start() publishes them.
+serve::LabelTable mapped_epoch(
+    const std::shared_ptr<const serve::MappedSnapshot>& mapped) {
+  serve::LabelTable table;
+  table.wires = mapped->label_wires();
+  table.intents = mapped->label_intents();
+  table.backing = mapped;
+  return table;
+}
+
 /// Child body for the sharing experiment: restore, label every community,
 /// report Pss growth, then hold the state alive until the parent releases
 /// us — both children must be resident at once or the pages have no one
 /// to share with.
 [[noreturn]] void sharing_child(RestorePath path, const std::string& snap,
+                                const topo::OrgMap* orgs,
                                 const std::vector<bgp::Community>& communities,
                                 int report_fd, int release_fd) {
   ChildReport report;
   const double before_kb = pss_kb();
-  core::IncrementalClassifier classifier;
-  std::shared_ptr<serve::MappedSnapshot> mapped;  // pins the mapping
-  if (path == RestorePath::kHeap) {
-    classifier = serve::load_snapshot(snap);
-  } else {
-    mapped = serve::MappedSnapshot::open(snap);
-    classifier = core::IncrementalClassifier(mapped->classifier_config(),
-                                             mapped->observation_config());
-    classifier.restore_view(mapped->state_view());
-  }
+  std::unique_ptr<stream::StreamEngine> engine;
+  serve::LabelTable epoch;  // pins the mapping
+  if (path == RestorePath::kHeap)
+    engine = heap_restore(snap, orgs);
+  else
+    epoch = mapped_epoch(serve::MappedSnapshot::open(snap));
   for (const bgp::Community community : communities)
     report.label_checksum =
         report.label_checksum * 31 +
-        static_cast<std::uint64_t>(classifier.label_of(community));
+        static_cast<std::uint64_t>(engine ? engine->label_of(community)
+                                          : serve::lookup(epoch, community));
   report.pss_growth_kb = pss_kb() - before_kb;
 
   if (::write(report_fd, &report, sizeof report) != sizeof report) _exit(3);
@@ -104,6 +125,7 @@ enum class RestorePath { kHeap, kMmap };
 /// Runs the two-process sharing experiment; returns the pair's combined
 /// Pss growth in kB (and checks both children agreed on every label).
 double sharing_pair_kb(RestorePath path, const std::string& snap,
+                       const topo::OrgMap* orgs,
                        const std::vector<bgp::Community>& communities,
                        bool& identical) {
   int report_pipe[2], release_pipe[2];
@@ -121,7 +143,8 @@ double sharing_pair_kb(RestorePath path, const std::string& snap,
     if (pid == 0) {
       ::close(report_pipe[0]);
       ::close(release_pipe[1]);
-      sharing_child(path, snap, communities, report_pipe[1], release_pipe[0]);
+      sharing_child(path, snap, orgs, communities, report_pipe[1],
+                    release_pipe[0]);
     }
   }
   ::close(report_pipe[1]);
@@ -193,17 +216,20 @@ int main() {
 
   const auto scenario = routing::Scenario::build(cfg);
   const auto entries = scenario.entries();
-  core::IncrementalClassifier original;
-  original.set_org_map(&scenario.topology().orgs);
-  original.ingest(entries);
-  // Settle part of the state so the snapshot carries cached labels, leave
-  // the rest dirty so the restart paths also exercise lazy reclassify.
+  const topo::OrgMap* orgs = &scenario.topology().orgs;
+  // serve's engine: a non-expiring window.
+  stream::WindowConfig window;
+  window.window_epochs = UINT32_MAX;
+  stream::StreamEngine original(window, orgs);
+  for (const auto& entry : entries) original.announce(entry);
   std::vector<bgp::Community> communities;
-  for (const auto& alpha : original.export_state().alphas)
-    for (const auto& beta : alpha.betas)
-      communities.emplace_back(alpha.alpha, beta.beta);
-  for (std::size_t i = 0; i < communities.size() / 2; ++i)
-    (void)original.label_of(communities[i]);
+  for (const auto& epoch : original.export_state().window.ring)
+    for (const auto& [key, count] : epoch.tuples)
+      communities.push_back(
+          bgp::Community::from_wire(static_cast<std::uint32_t>(key)));
+  std::sort(communities.begin(), communities.end());
+  communities.erase(std::unique(communities.begin(), communities.end()),
+                    communities.end());
   std::printf("workload: %zu entries, %zu communities\n\n", entries.size(),
               communities.size());
 
@@ -214,57 +240,54 @@ int main() {
   fs::remove_all(scratch);
   fs::create_directories(scratch);
   const std::string path = scratch + "/state.snap";
-  serve::save_snapshot(original, path);
-  const core::IncrementalClassifier::State expected = original.export_state();
+  serve::save_snapshot(original, path);  // settles, as serve does
+  const stream::EngineState expected = original.export_state();
   const auto snapshot_bytes = fs::file_size(path);
   const bgp::Community probe = communities.front();
 
   // --- Restart-to-first-query, two paths. ---
   volatile int sink = 0;
   const double heap_restart_ms = best_of_ms(repeats, [&] {
-    auto classifier = serve::load_snapshot(path);
-    sink = static_cast<int>(classifier.label_of(probe));
+    const auto engine = heap_restore(path, orgs);
+    sink = static_cast<int>(engine->label_of(probe));
   });
   const double mmap_restart_ms = best_of_ms(repeats, [&] {
-    const auto mapped = serve::MappedSnapshot::open(path);
-    core::IncrementalClassifier classifier(mapped->classifier_config(),
-                                           mapped->observation_config());
-    classifier.restore_view(mapped->state_view());
-    sink = static_cast<int>(classifier.label_of(probe));
+    const serve::LabelTable epoch =
+        mapped_epoch(serve::MappedSnapshot::open(path));
+    sink = static_cast<int>(serve::lookup(epoch, probe));
   });
   (void)sink;
 
   // --- The identity gate: neither restore may change one answer. ---
   bool identical = true;
   {
-    auto from_heap = serve::load_snapshot(path);
-    from_heap.set_org_map(&scenario.topology().orgs);
+    const auto from_heap = heap_restore(path, orgs);
     const auto mapped = serve::MappedSnapshot::open(path);
-    core::IncrementalClassifier from_mmap(mapped->classifier_config(),
-                                          mapped->observation_config());
-    from_mmap.set_org_map(&scenario.topology().orgs);
-    from_mmap.restore_view(mapped->state_view());
-    if (from_heap.export_state() != expected ||
-        from_mmap.export_state() != expected)
-      identical = false;
+    const serve::LabelTable from_mmap = mapped_epoch(mapped);
+    if (from_heap->export_state() != expected) identical = false;
     for (const bgp::Community community : communities) {
       const core::Intent label = original.label_of(community);
-      if (from_heap.label_of(community) != label ||
-          from_mmap.label_of(community) != label)
+      if (from_heap->label_of(community) != label ||
+          serve::lookup(from_mmap, community) != label)
         identical = false;
     }
+    // TOTALS on a mapped daemon restores its engine from the mapping.
+    stream::StateImage image = mapped->decode();
+    stream::StreamEngine restored(image.config, orgs);
+    restored.restore_state(image.state, std::move(image.paths));
+    if (restored.export_state() != expected) identical = false;
     const auto o = original.totals();
-    for (const auto& t : {from_heap.totals(), from_mmap.totals()})
+    for (const auto& t : {from_heap->totals(), restored.totals()})
       if (t.communities != o.communities || t.information != o.information ||
           t.action != o.action || t.unclassified != o.unclassified)
         identical = false;
   }
 
   // --- Cross-process sharing: two restarts of each path at once. ---
-  const double heap_pair_kb =
-      sharing_pair_kb(RestorePath::kHeap, path, communities, identical);
-  const double mmap_pair_kb =
-      sharing_pair_kb(RestorePath::kMmap, path, communities, identical);
+  const double heap_pair_kb = sharing_pair_kb(RestorePath::kHeap, path, orgs,
+                                              communities, identical);
+  const double mmap_pair_kb = sharing_pair_kb(RestorePath::kMmap, path, orgs,
+                                              communities, identical);
 
   const double speedup =
       mmap_restart_ms > 0.0 ? heap_restart_ms / mmap_restart_ms : 0.0;

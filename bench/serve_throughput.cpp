@@ -1,7 +1,10 @@
 // Throughput of the serve daemon over loopback TCP, before and after the
 // protocol matters: INGEST observations/sec, cold and warm LABEL rates
 // through the line protocol, and the multi-connection pipelined binary
-// load that the shard-per-core epoll tier exists for.
+// load that the shard-per-core epoll tier exists for.  The daemon's engine
+// is primed as `bgpintent serve <rib>` primes it — the first half of the
+// RIB through StreamEngine::prime and one reclassification pass — and the
+// INGEST burst writes the second half.
 //
 // Rows:
 //   - "LABEL warm line 1-conn" is the seed-comparable baseline: one
@@ -34,7 +37,11 @@
 #include <thread>
 #include <vector>
 
+#include <sstream>
+
 #include "bench/common.hpp"
+#include "mrt/mrt_file.hpp"
+#include "mrt/source.hpp"
 #include "serve/binary.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -180,16 +187,18 @@ int main() {
 
   const auto scenario = routing::Scenario::build(cfg);
   const auto entries = scenario.entries();
+  const topo::OrgMap* orgs = &scenario.topology().orgs;
+  stream::WindowConfig window;  // serve's: non-expiring
+  window.window_epochs = UINT32_MAX;
 
-  // The distinct communities to query, from a quick local pass.
+  // The distinct communities to query.
   std::vector<bgp::Community> communities;
-  {
-    core::IncrementalClassifier probe;
-    probe.ingest(entries);
-    for (const auto& alpha : probe.export_state().alphas)
-      for (const auto& beta : alpha.betas)
-        communities.emplace_back(alpha.alpha, beta.beta);
-  }
+  for (const auto& entry : entries)
+    communities.insert(communities.end(), entry.route.communities.begin(),
+                       entry.route.communities.end());
+  std::sort(communities.begin(), communities.end());
+  communities.erase(std::unique(communities.begin(), communities.end()),
+                    communities.end());
   std::printf(
       "workload: %zu RIB entries, %zu distinct communities; load gen: "
       "%zu conns x %zu pipelined, %zu shards, %zu warm queries/phase\n\n",
@@ -199,36 +208,48 @@ int main() {
   // In-process baseline (no protocol, no socket).
   double local_query_s = 0.0;
   {
-    core::IncrementalClassifier local;
-    local.set_org_map(&scenario.topology().orgs);
-    local.ingest(entries);
-    (void)local.totals();  // settle dirty alphas
+    stream::StreamEngine local(window, orgs);
+    for (const auto& entry : entries) local.announce(entry);
+    local.reclassify();
     auto start = std::chrono::steady_clock::now();
     for (const bgp::Community community : communities)
       (void)local.label_of(community);
     local_query_s = seconds_since(start);
   }
 
-  core::IncrementalClassifier classifier;
-  classifier.set_org_map(&scenario.topology().orgs);
+  // Prime the daemon's engine from the first half as an MRT RIB dump.
+  const std::size_t half = entries.size() / 2;
+  stream::StreamEngine engine(window, orgs);
+  {
+    std::ostringstream rib;
+    mrt::MrtWriter(rib).write_rib_snapshot(
+        std::vector<bgp::RibEntry>(entries.begin(),
+                                   entries.begin() +
+                                       static_cast<std::ptrdiff_t>(half)),
+        0x7f000001, 1684886400);
+    const std::string bytes = rib.str();
+    engine.prime(mrt::BufferSource{
+        std::vector<std::uint8_t>(bytes.begin(), bytes.end())});
+    engine.reclassify();
+  }
   serve::ServerConfig server_cfg;
   server_cfg.shards = static_cast<unsigned>(shards);
-  serve::Server server(std::move(classifier), server_cfg);
+  serve::Server server(engine, server_cfg);
   server.start();
   auto client = serve::Client::connect("127.0.0.1", server.port());
 
-  // INGEST burst.
+  // INGEST burst: the second half, one synchronous write per entry.
   auto start = std::chrono::steady_clock::now();
   std::size_t sent = 0;
-  for (const auto& entry : entries) {
+  for (std::size_t i = half; i < entries.size(); ++i) {
+    const auto& entry = entries[i];
     if (entry.route.communities.empty()) continue;
     client.ingest(entry.route.path, entry.route.communities);
     ++sent;
   }
   const double ingest_s = seconds_since(start);
 
-  // Cold queries: every alpha is dirty after the burst; the first query
-  // settles them and publishes the fresh label epoch.
+  // Cold queries: the first pass over every community after the burst.
   start = std::chrono::steady_clock::now();
   for (const bgp::Community community : communities)
     (void)client.label(community);
@@ -333,9 +354,9 @@ int main() {
           out,
           "{\n"
           "  \"bench\": \"serve_throughput\",\n"
-          "  \"workload\": {\"entries\": %zu, \"communities\": %zu, "
-          "\"conns\": %zu, \"pipeline\": %zu, \"shards\": %zu, "
-          "\"warm_queries\": %zu},\n"
+          "  \"workload\": {\"entries\": %zu, \"primed_entries\": %zu, "
+          "\"communities\": %zu, \"conns\": %zu, \"pipeline\": %zu, "
+          "\"shards\": %zu, \"warm_queries\": %zu},\n"
           "  \"results\": {\n"
           "    \"ingest_obs_per_sec\": %.1f,\n"
           "    \"local_label_qps\": %.1f,\n"
@@ -353,7 +374,7 @@ int main() {
           "    \"label_epochs\": %llu\n"
           "  }\n"
           "}\n",
-          entries.size(), communities.size(), conns, pipeline, shards,
+          entries.size(), half, communities.size(), conns, pipeline, shards,
           warm_queries, rate(sent, ingest_s),
           rate(communities.size(), local_query_s),
           rate(communities.size(), cold_s), warm_line_qps, warm_binary_qps,

@@ -13,10 +13,9 @@
 //   anomaly_watch               — in-process batch Pipeline (default)
 //   anomaly_watch <host>:<port> — a running daemon: the tuples are
 //     streamed over INGEST, then labels arrive in one SUBSCRIBE snapshot
-//     round (stream-mode daemons, docs/STREAMING.md).  Classic daemons
-//     answer ERR to SUBSCRIBE and the watcher falls back to per-community
-//     LABEL polling, so several watchers can share either kind of
-//     long-lived classifier.
+//     round (docs/STREAMING.md).  A daemon that answers ERR to SUBSCRIBE
+//     makes the watcher fall back to per-community LABEL polling, so
+//     several watchers can share one long-lived classifier either way.
 //
 // A third mode watches live label transitions and survives daemon
 // restarts (the CommunityWatch use case a journaled daemon enables):
@@ -80,10 +79,10 @@ void stream_observations(serve::Client& client,
 }
 
 // Labels from the daemon.  One "SUBSCRIBE snapshot" round trip fetches
-// every current label at once from a stream-mode daemon; a classic daemon
-// answers ERR and the labeler falls back to memoised per-community LABEL
-// polling on the same connection (SUBSCRIBE only upgrades to a push
-// stream on an OK response).
+// every current label at once; a daemon that answers ERR (an older build
+// without SUBSCRIBE on `serve`) makes the labeler fall back to memoised
+// per-community LABEL polling on the same connection (SUBSCRIBE only
+// upgrades to a push stream on an OK response).
 Labeler remote_labeler(serve::Client& client) {
   auto cache = std::make_shared<std::map<bgp::Community, dict::Intent>>();
   bool snapshot = false;
@@ -109,7 +108,7 @@ Labeler remote_labeler(serve::Client& client) {
                   cache->size());
     }
   } catch (const serve::ServeError&) {
-    snapshot = false;  // treat a dropped probe like a classic daemon
+    snapshot = false;  // treat a dropped probe like an ERR answer
   }
   if (snapshot) {
     return [cache](bgp::Community community) {

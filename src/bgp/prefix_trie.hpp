@@ -118,17 +118,30 @@ class PrefixTrie {
     return node;
   }
 
-  static void collect(const Node* node, std::uint32_t address,
+  /// Appends every stored prefix under `root` (which sits at `address` /
+  /// `depth`) to `out`, in no particular order.  An explicit stack, not
+  /// recursion: GCC 12 at -O3 inlines the recursive form's emplace_back
+  /// into itself and reports a false -Wstringop-overflow.
+  static void collect(const Node* root, std::uint32_t address,
                       std::uint8_t depth, std::vector<Prefix>& out) {
-    if (node->value) out.emplace_back(address, depth);
-    if (depth >= 32) return;
-    if (node->child[0])
-      collect(node->child[0].get(), address,
-              static_cast<std::uint8_t>(depth + 1), out);
-    if (node->child[1])
-      collect(node->child[1].get(),
-              address | (1u << (31 - depth)),
-              static_cast<std::uint8_t>(depth + 1), out);
+    struct Pending {
+      const Node* node;
+      std::uint32_t address;
+      std::uint8_t depth;
+    };
+    std::vector<Pending> stack{{root, address, depth}};
+    while (!stack.empty()) {
+      const Pending at = stack.back();
+      stack.pop_back();
+      if (at.node->value) out.push_back(Prefix(at.address, at.depth));
+      if (at.depth >= 32) continue;
+      const auto next = static_cast<std::uint8_t>(at.depth + 1);
+      if (at.node->child[0])
+        stack.push_back({at.node->child[0].get(), at.address, next});
+      if (at.node->child[1])
+        stack.push_back({at.node->child[1].get(),
+                         at.address | (1u << (31 - at.depth)), next});
+    }
   }
 
   std::unique_ptr<Node> root_;

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "cli/args.hpp"
-#include "core/incremental.hpp"
 #include "core/ingest.hpp"
 #include "core/pipeline.hpp"
 #include "core/summarize.hpp"
@@ -635,39 +634,47 @@ int cmd_serve(int argc, char** argv) {
     return 2;
   }
 
-  core::ClassifierConfig classifier_cfg;
-  classifier_cfg.min_gap = static_cast<std::uint32_t>(*gap);
-  classifier_cfg.ratio_threshold = *threshold;
-  classifier_cfg.mean_of_ratios = args->flag("mean-ratios");
-  core::ObservationConfig observation_cfg;
-  observation_cfg.sibling_aware = !args->flag("no-siblings");
-  core::IncrementalClassifier classifier(classifier_cfg, observation_cfg);
+  // The paper's days-of-data evidence: a window that never expires.
+  stream::WindowConfig window_cfg;
+  window_cfg.window_epochs = UINT32_MAX;
+  window_cfg.classifier.min_gap = static_cast<std::uint32_t>(*gap);
+  window_cfg.classifier.ratio_threshold = *threshold;
+  window_cfg.classifier.mean_of_ratios = args->flag("mean-ratios");
+  window_cfg.observation.sibling_aware = !args->flag("no-siblings");
 
   // An existing snapshot wins over the classifier flags: it carries the
-  // configs it was built with, and mixing configs would corrupt labels.
+  // window config it was built with (a journal checkpoint keeps its
+  // sliding window), and mixing configs would corrupt labels.
+  std::unique_ptr<stream::StreamEngine> engine;
+  std::shared_ptr<const serve::MappedSnapshot> mapped;
   if (snapshot_path) {
     if (std::ifstream probe(*snapshot_path, std::ios::binary); probe) {
       try {
-        if (snapshot_mmap) {
-          // Near-instant restart: borrow the mapped columns instead of
-          // decoding them into heap state.  The first INGEST detaches.
-          const auto mapped = serve::MappedSnapshot::open(*snapshot_path);
-          classifier = core::IncrementalClassifier(
-              mapped->classifier_config(), mapped->observation_config());
-          classifier.restore_view(mapped->state_view());
+        // Priming extends the restored engine, so only a snapshot served
+        // as it stands stays mapped.
+        if (snapshot_mmap && args->positional().empty()) {
+          // Near-instant restart: serve the mapped label columns and
+          // restore the engine from the mapping when a request needs it.
+          mapped = serve::MappedSnapshot::open(*snapshot_path);
+          engine = std::make_unique<stream::StreamEngine>(mapped->config());
+          std::fprintf(stderr, "mapped %zu labels from %s\n",
+                       mapped->label_wires().size(), snapshot_path->c_str());
         } else {
-          classifier = serve::load_snapshot(*snapshot_path);
+          stream::StateImage image = serve::load_snapshot(*snapshot_path);
+          engine = std::make_unique<stream::StreamEngine>(image.config);
+          engine->restore_state(image.state, std::move(image.paths));
+          std::fprintf(stderr, "restored %llu ingested entries from %s\n",
+                       static_cast<unsigned long long>(engine->announces()),
+                       snapshot_path->c_str());
         }
       } catch (const serve::SnapshotError& error) {
         std::fprintf(stderr, "error: %s: %s\n", snapshot_path->c_str(),
                      error.what());
         return 1;
       }
-      std::fprintf(stderr, "restored %zu ingested entries from %s%s\n",
-                   classifier.entries_ingested(), snapshot_path->c_str(),
-                   snapshot_mmap ? " (mapped)" : "");
     }
   }
+  if (!engine) engine = std::make_unique<stream::StreamEngine>(window_cfg);
 
   if (!args->positional().empty()) {
     const auto mmap_mode = parse_mmap_mode(*args);
@@ -676,14 +683,14 @@ int cmd_serve(int argc, char** argv) {
     const auto sources =
         open_mrt_sources(args->positional(), *mmap_mode, exit_code);
     if (!sources) return exit_code;
-    // Each source streams row-by-row into the classifier (ingest_mrt);
-    // decode counters fold in per file, exactly like the old batch path.
-    const std::size_t before = classifier.entries_ingested();
+    // Every RIB row of every file is applied first and classified in one
+    // pass at the end; decode counters fold into the engine per file.
+    const std::uint64_t before = engine->announces();
     mrt::DecodeReport merged;
     for (const MrtSource& src : *sources) {
       mrt::DecodeReport file_report;
       try {
-        classifier.ingest_mrt(*src.source, decode, &file_report);
+        engine->prime(*src.source, decode, &file_report);
         merged.merge(file_report);
       } catch (const mrt::DecodeBudgetError& error) {
         merged.merge(file_report);
@@ -698,9 +705,10 @@ int cmd_serve(int argc, char** argv) {
         return kExitData;
       }
     }
+    engine->reclassify();
     std::fprintf(stderr, "decode: %s\n", merged.summary().c_str());
-    std::fprintf(stderr, "primed with %zu RIB entries from %zu MRT files\n",
-                 classifier.entries_ingested() - before,
+    std::fprintf(stderr, "primed with %llu RIB entries from %zu MRT files\n",
+                 static_cast<unsigned long long>(engine->announces() - before),
                  args->positional().size());
   }
 
@@ -712,10 +720,10 @@ int cmd_serve(int argc, char** argv) {
   cfg.snapshot_interval_s = static_cast<unsigned>(*interval);
   if (snapshot_path) cfg.snapshot_path = *snapshot_path;
 
-  serve::Server server(std::move(classifier), cfg);
+  serve::Server server(*engine, cfg, std::move(mapped));
   try {
     server.start();
-  } catch (const serve::ServeError& error) {
+  } catch (const std::runtime_error& error) {  // ServeError, SnapshotError
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
@@ -1233,10 +1241,12 @@ int cmd_help() {
       "file\n"
       "      --out out.mrt [--kind bitflip|truncate|splice|lengthlie] "
       "[--seed N]\n"
-      "  serve [rib.mrt]...     run the live query daemon (docs/SERVING.md)\n"
+      "  serve [rib.mrt]...     run the live query daemon over a window that\n"
+      "      never expires (docs/SERVING.md)\n"
       "      [--listen ADDR] [--port N] [--shards N]  (--port 0 prints\n"
       "      'LISTENING <port>' on stdout once bound)\n"
       "      [--snapshot file.snap] [--snapshot-interval SECONDS]\n"
+      "      (a state image: a serve snapshot or a stream checkpoint)\n"
       "      [--snapshot-mmap]  (near-instant restart, pages shared\n"
       "      across processes)\n"
       "      [--read-timeout MS] [--gap N] [--threshold R]\n"
@@ -1258,8 +1268,9 @@ int cmd_help() {
       "      [--max-segment-bytes N] [--journal-strict]\n"
       "  recover <journal-dir>  inspect a stream journal: segments, record\n"
       "      counts, checkpoints, torn-tail status (read-only)\n"
-      "  subscribe              print label-change events from a stream\n"
-      "      daemon  [--host ADDR] [--port N] [--snapshot] [--from SEQ]\n"
+      "  subscribe              print label-change events from a serve or\n"
+      "      stream daemon  [--host ADDR] [--port N] [--snapshot]\n"
+      "      [--from SEQ]\n"
       "      [--max-events N] [--timeout-ms MS]\n"
       "  synth-stream           write a synthetic BGP4MP update stream\n"
       "      [--out updates.mrt] [--seed N] [--tier1 N] [--tier2 N]\n"

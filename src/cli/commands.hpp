@@ -54,7 +54,7 @@ int cmd_query(int argc, char** argv);
 /// serving live queries and SUBSCRIBE push (docs/STREAMING.md).
 int cmd_stream(int argc, char** argv);
 
-/// `bgpintent subscribe` — attach to a stream-mode daemon and print
+/// `bgpintent subscribe` — attach to a serve or stream daemon and print
 /// label-change events as they happen.
 int cmd_subscribe(int argc, char** argv);
 

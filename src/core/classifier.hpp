@@ -11,7 +11,7 @@
 // alphas that never appear in any AS path (transparent IXP route servers).
 //
 // The rule itself is core::label_alpha_counts (core/labeling.hpp), shared
-// with the incremental and sliding-window classifiers.  The customer:peer
+// with the window classifier behind `stream` and `serve`.  The customer:peer
 // feature the paper evaluates and rejects (Fig. 7) is reproduced over
 // dictionary clusters by baseline_clusters + sweep_ratio_threshold
 // (core/evaluation.hpp), not by a second classifier.

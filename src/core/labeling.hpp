@@ -3,12 +3,11 @@
 // The rule only ever consumes the *sizes* of a community's on-path /
 // off-path unique-path sets: apply the alpha-level exclusions, gap-cluster
 // the betas, then label each cluster pure-on / pure-off / by ratio.  Batch
-// classify() feeds it CommunityStats counts, IncrementalClassifier feeds it
-// hash-set sizes (or snapshot columns), and the sliding-window classifier
-// (src/stream/) feeds it refcounted window counts.  All of them call this
-// one function, which is what makes "windowed labels == batch labels" hold
-// by construction instead of by parallel maintenance of copies of the
-// ratio rule.
+// classify() feeds it CommunityStats counts and the window classifier
+// (src/stream/, behind both `stream` and `serve`) feeds it refcounted
+// window counts.  Both call this one function, which is what makes
+// "windowed labels == batch labels" hold by construction instead of by
+// parallel maintenance of copies of the ratio rule.
 //
 // Each cluster comes out as a ClusterDecision: its members' counts, both
 // ratio features, the purity flags, and the intent.  That is the

@@ -104,8 +104,8 @@ class MrtReader {
 /// scratch row, stream order) without materializing a RibEntry vector:
 /// RIB snapshot records are joined with their PEER_INDEX_TABLE; BGP4MP
 /// updates contribute one row per announced prefix.  Unknown record types
-/// are skipped.  This is the entry point behind core::MrtIngest and the
-/// incremental classifier's MRT ingest (docs/PERFORMANCE.md); record
+/// are skipped.  This is the entry point behind core::MrtIngest and
+/// StreamEngine::prime, serve's RIB priming (docs/PERFORMANCE.md); record
 /// bodies are parsed as zero-copy views into the source image.
 ///
 /// Strict mode (the default DecodeOptions) throws MrtError on the first

@@ -327,9 +327,9 @@ void Client::ingest(const bgp::AsPath& path,
   (void)require_key(response, "ingested");
 }
 
-core::IncrementalClassifier::Totals Client::totals() {
+Client::Totals Client::totals() {
   const std::string response = request("TOTALS");
-  core::IncrementalClassifier::Totals totals;
+  Totals totals;
   totals.communities = require_size(response, "communities");
   totals.information = require_size(response, "information");
   totals.action = require_size(response, "action");

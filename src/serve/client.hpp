@@ -14,7 +14,7 @@
 
 #include "bgp/aspath.hpp"
 #include "bgp/community.hpp"
-#include "core/incremental.hpp"
+#include "dict/intent.hpp"
 #include "serve/binary.hpp"
 #include "serve/protocol.hpp"
 
@@ -123,7 +123,13 @@ class Client {
               std::span<const bgp::Community> communities);
 
   /// TOTALS: the server's global label counters.
-  [[nodiscard]] core::IncrementalClassifier::Totals totals();
+  struct Totals {
+    std::size_t communities = 0;  ///< communities with evidence
+    std::size_t information = 0;
+    std::size_t action = 0;
+    std::size_t unclassified = 0;
+  };
+  [[nodiscard]] Totals totals();
 
   /// SNAPSHOT: asks the server to persist its state to a server-side path.
   void snapshot(const std::string& path);

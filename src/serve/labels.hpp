@@ -145,9 +145,9 @@ struct LabelTable {
   /// Epochs published so far, exported via STATS as label_epochs: one per
   /// publish that changed a label or advanced `as_of_seq`.
   std::uint64_t version = 0;
-  /// Stream mode: last StreamEngine sequence folded into this table.
-  /// Shards compare against StreamEngine::published_seq() to detect a
-  /// stale snapshot without taking the engine mutex.
+  /// Last StreamEngine sequence folded into this table.  Shards compare
+  /// against StreamEngine::published_seq() to detect a stale snapshot
+  /// without taking the engine mutex.
   std::uint64_t as_of_seq = 0;
 };
 
@@ -226,7 +226,7 @@ class LabelView {
   /// the mmap restart skipped, and the new epoch no longer pins the
   /// mapping), the differing pairs are applied and the version bumped.
   /// Returns whether an epoch was published.  The caller serializes
-  /// writers (the server's classifier/refresh mutex).
+  /// writers (the server's refresh mutex).
   bool publish_changes(std::span<const Change> changes,
                        std::uint64_t as_of_seq) {
     const auto cur = load();

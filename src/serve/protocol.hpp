@@ -15,13 +15,12 @@
 //   STATS                           server counters, cumulative decode
 //                                   counters (decode_ok / decode_errors),
 //                                   and query latency
-//   SNAPSHOT <file>                 persist classifier state server-side
-//                                   (classic mode only; stream mode
-//                                   answers ERR)
+//   SNAPSHOT <file>                 persist the engine's state image
+//                                   server-side (stream/image.hpp)
 //   SUBSCRIBE [snapshot] [from=<seq>]
-//                                   stream mode only: upgrade the
-//                                   connection to a push stream of label
-//                                   changes.  The response's first line is
+//                                   upgrade the connection to a push
+//                                   stream of label changes.  The
+//                                   response's first line is
 //                                   "OK subscribed seq=<s>"; with
 //                                   `snapshot` (or when `from=` points
 //                                   before the buffered event log) it is

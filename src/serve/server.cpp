@@ -15,7 +15,6 @@
 
 #include "serve/binary.hpp"
 #include "serve/snapshot.hpp"
-#include "util/file.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -127,11 +126,12 @@ void close_quietly(int& fd) {
 
 }  // namespace
 
-Server::Server(core::IncrementalClassifier classifier, ServerConfig config)
-    : classifier_(std::move(classifier)), config_(std::move(config)) {}
-
-Server::Server(stream::StreamEngine& engine, ServerConfig config)
-    : engine_(&engine), config_(std::move(config)) {}
+Server::Server(stream::StreamEngine& engine, ServerConfig config,
+               std::shared_ptr<const MappedSnapshot> image)
+    : engine_(&engine),
+      config_(std::move(config)),
+      image_(std::move(image)),
+      restore_pending_(image_ != nullptr) {}
 
 Server::~Server() {
   request_stop();
@@ -196,8 +196,7 @@ void Server::start() {
   // Periodic snapshots tick on a timerfd owned by shard 0 — armed only
   // when actually configured, so an idle server blocks in epoll_wait
   // forever instead of polling on a slice.
-  if (engine_ == nullptr && config_.snapshot_interval_s > 0 &&
-      !config_.snapshot_path.empty()) {
+  if (config_.snapshot_interval_s > 0 && !config_.snapshot_path.empty()) {
     Shard& shard = *shards_[0];
     shard.timer_fd = ::timerfd_create(CLOCK_MONOTONIC,
                                       TFD_NONBLOCK | TFD_CLOEXEC);
@@ -213,44 +212,31 @@ void Server::start() {
     }
   }
 
-  // The initial label epoch.  Built from the classifier's *cached* labels
-  // without reclassifying — preloaded-but-dirty state must round-trip
-  // through SNAPSHOT byte-identically — so the first query settles any
-  // leftover dirty alphas lazily (classic_stale_).
-  if (engine_ == nullptr) {
-    const std::lock_guard<std::mutex> lock(classifier_mutex_);
-    auto table = std::make_shared<LabelTable>();
-    table->version = 1;
-    if (const auto view = classifier_.view()) {
-      // Borrowed columnar state (--snapshot-mmap): the snapshot's serve
-      // columns ARE the epoch — no decode, no hashing, pages fault in as
-      // queries touch them.  The view handle keeps the mapping alive even
-      // if a later INGEST detaches the classifier.
-      table->wires = view->columns().serve_wires;
-      table->intents = view->columns().serve_intents;
-      table->backing = view;
-    } else {
-      for (const auto& [community, intent] : classifier_.label_snapshot())
-        table->labels.assign(community.wire(), intent);
-    }
-    labels_.publish(std::move(table));
-    classic_stale_.store(classifier_.dirty_alpha_count() > 0,
-                         std::memory_order_release);
+  // The initial label epoch.  A settled mapped image's label columns ARE
+  // the epoch — no decode, no hashing, pages fault in as queries touch
+  // them, and the table pins the mapping until a publish replaces it.
+  // An unsettled one predates its next reclassification pass, so the
+  // engine is restored now and the epoch comes from it.
+  if (image_ != nullptr && !image_->settled()) ensure_restored();
+  auto table = std::make_shared<LabelTable>();
+  table->version = 1;
+  if (restore_pending_.load(std::memory_order_acquire)) {
+    table->wires = image_->label_wires();
+    table->intents = image_->label_intents();
+    table->backing = image_;
+    table->as_of_seq = image_->as_of_seq();
   } else {
-    auto table = std::make_shared<LabelTable>();
-    table->version = 1;
     std::uint64_t as_of = 0;
     for (const auto& [community, intent] : engine_->label_snapshot(as_of))
       table->labels.assign(community.wire(), intent);
     table->as_of_seq = as_of;
-    labels_.publish(std::move(table));
   }
+  labels_.publish(std::move(table));
 
   started_at_ = std::chrono::steady_clock::now();
   stop_.store(false, std::memory_order_relaxed);
   running_.store(true, std::memory_order_release);
-  if (engine_ != nullptr)
-    engine_->set_publish_hook([this] { notify_all_shards(); });
+  engine_->set_publish_hook([this] { notify_all_shards(); });
   for (auto& shard : shards_)
     shard->thread = std::thread([this, s = shard.get()] { shard_loop(*s); });
 }
@@ -267,7 +253,7 @@ void Server::notify_all_shards() noexcept {
 void Server::wait() {
   for (auto& shard : shards_)
     if (shard->thread.joinable()) shard->thread.join();
-  if (engine_ != nullptr && running_.load(std::memory_order_acquire))
+  if (running_.load(std::memory_order_acquire))
     engine_->set_publish_hook(nullptr);
   for (auto& shard : shards_) {
     close_quietly(shard->listen_fd);
@@ -276,7 +262,7 @@ void Server::wait() {
     close_quietly(shard->epoll_fd);
   }
   if (running_.exchange(false, std::memory_order_acq_rel) &&
-      engine_ == nullptr && !config_.snapshot_path.empty()) {
+      !config_.snapshot_path.empty()) {
     try {
       write_snapshot_file(config_.snapshot_path);
     } catch (const std::exception& error) {
@@ -315,7 +301,7 @@ void Server::shard_loop(Shard& shard) {
           }
           for (const int handed : adopted) adopt_connection(shard, handed);
         }
-        if (engine_ != nullptr) service_subscribers(shard);
+        service_subscribers(shard);
         continue;
       }
       if (fd == shard.timer_fd) {
@@ -620,6 +606,12 @@ void Server::dispatch_binary(Shard& shard, Conn& conn, std::uint8_t op,
     }
     case bin::Op::kStats: {
       if (!body.empty()) break;
+      try {
+        ensure_restored();
+      } catch (const SnapshotError& error) {
+        bin::encode_err(conn.out, bin::ErrCode::kMalformed, error.what());
+        return;
+      }
       const ServerStats s = stats();
       bin::StatsPayload payload;
       payload.connections = s.connections_accepted;
@@ -649,22 +641,14 @@ void Server::dispatch_binary(Shard& shard, Conn& conn, std::uint8_t op,
 }
 
 const LabelTable& Server::query_snapshot(Shard& shard) {
-  if (engine_ != nullptr) {
-    // Unsettled window state could change any answer: settle it (one
-    // engine-mutex pass that publishes the resulting events), then fold
-    // the events into a fresh epoch.  Warm path — no dirty state, no new
-    // events — touches no lock at all.
-    if (engine_->has_pending_dirty()) engine_->reclassify();
-    if (labels_.read(shard.labels).as_of_seq < engine_->published_seq())
-      refresh_stream_epoch();
-    return labels_.read(shard.labels);
-  }
-  // Classic mode: the epoch only goes stale when the server started with
-  // preloaded-but-dirty state (INGEST publishes eagerly).  Settle once.
-  if (classic_stale_.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(classifier_mutex_);
-    publish_classic_epoch_locked();
-  }
+  // Unsettled window state could change any answer: settle it (one
+  // engine-mutex pass that publishes the resulting events), then fold the
+  // events into a fresh epoch.  Warm path — no dirty state, no new events
+  // — touches no lock at all.  An engine still waiting to be restored
+  // from a mapped image is empty: neither check fires.
+  if (engine_->has_pending_dirty()) engine_->reclassify();
+  if (labels_.read(shard.labels).as_of_seq < engine_->published_seq())
+    refresh_epoch();
   return labels_.read(shard.labels);
 }
 
@@ -672,16 +656,16 @@ dict::Intent Server::query_label(Shard& shard, bgp::Community community) {
   return lookup(query_snapshot(shard), community);
 }
 
-void Server::publish_classic_epoch_locked() {
-  std::vector<std::pair<core::Community, core::Intent>> settled;
-  classifier_.settle_dirty(settled);
-  classic_stale_.store(false, std::memory_order_release);
-  // Classic epochs carry no stream sequence: a settle that flips no label
-  // publishes nothing.
-  labels_.publish_changes(settled, 0);
+void Server::ensure_restored() {
+  if (!restore_pending_.load(std::memory_order_acquire)) return;
+  const std::lock_guard<std::mutex> lock(restore_mutex_);
+  if (!restore_pending_.load(std::memory_order_relaxed)) return;
+  stream::StateImage image = image_->decode();
+  engine_->restore_state(image.state, std::move(image.paths));
+  restore_pending_.store(false, std::memory_order_release);
 }
 
-void Server::refresh_stream_epoch() {
+void Server::refresh_epoch() {
   const std::lock_guard<std::mutex> lock(refresh_mutex_);
   const auto current = labels_.load();
   if (current->as_of_seq >= engine_->published_seq()) return;  // raced ahead
@@ -877,6 +861,18 @@ bool Server::handle_command(Shard& shard, const std::string& line,
       return true;
     }
 
+    // Verbs that need the engine itself, not just the label epoch.
+    if (command == "INGEST" || command == "TOTALS" || command == "STATS" ||
+        command == "SUBSCRIBE" || command == "SNAPSHOT") {
+      try {
+        ensure_restored();
+      } catch (const SnapshotError& error) {
+        response = util::format("ERR snapshot restore failed: %s",
+                                error.what());
+        return true;
+      }
+    }
+
     if (command == "INGEST") {
       if (fields.size() < 3 || fields.size() % 2 != 1) {
         response =
@@ -887,106 +883,68 @@ bool Server::handle_command(Shard& shard, const std::string& line,
       const std::size_t pairs = (fields.size() - 1) / 2;
       std::uint64_t errors = 0;
       std::size_t ingested = 0;
-      std::size_t entries = 0;
       // Single pass, one scratch row: each valid pair is parsed into the
-      // scratch and ingested immediately — the streaming-sink idiom of the
-      // MRT path (docs/PERFORMANCE.md), with no batch vector in between.
-      // The classifier mutex guards classic mode only; the stream engine
-      // synchronizes internally.
+      // scratch and announced immediately — the streaming-sink idiom of
+      // the MRT path (docs/PERFORMANCE.md), with no batch vector in
+      // between.  The engine synchronizes internally.
       bgp::RibEntry scratch;
-      {
-        std::unique_lock<std::mutex> lock(classifier_mutex_, std::defer_lock);
-        if (engine_ == nullptr) lock.lock();
-        for (std::size_t i = 0; i < pairs; ++i) {
-          const std::string_view path_field = fields[1 + 2 * i];
-          const std::string_view communities_field = fields[2 + 2 * i];
-          auto path = parse_path(path_field);
-          if (!path) {
-            // A single-pair request keeps the historical hard ERR; in a
-            // batch a malformed pair is skipped and counted, like a torn
-            // MRT record.  Nothing has been ingested yet in the
-            // single-pair case, so the early return mutates no state.
-            if (pairs == 1) {
-              response =
-                  util::format("ERR '%.*s' is not a comma-separated AS path",
-                               static_cast<int>(path_field.size()),
-                               path_field.data());
-              return true;
-            }
-            ++errors;
-            continue;
+      for (std::size_t i = 0; i < pairs; ++i) {
+        const std::string_view path_field = fields[1 + 2 * i];
+        const std::string_view communities_field = fields[2 + 2 * i];
+        auto path = parse_path(path_field);
+        if (!path) {
+          // A single-pair request keeps the historical hard ERR; in a
+          // batch a malformed pair is skipped and counted, like a torn
+          // MRT record.  Nothing has been ingested yet in the single-pair
+          // case, so the early return mutates no state.
+          if (pairs == 1) {
+            response =
+                util::format("ERR '%.*s' is not a comma-separated AS path",
+                             static_cast<int>(path_field.size()),
+                             path_field.data());
+            return true;
           }
-          auto communities = parse_communities(communities_field);
-          if (!communities) {
-            if (pairs == 1) {
-              response = util::format(
-                  "ERR '%.*s' is not a comma-separated community list",
-                  static_cast<int>(communities_field.size()),
-                  communities_field.data());
-              return true;
-            }
-            ++errors;
-            continue;
-          }
-          scratch.route.path = std::move(*path);
-          scratch.route.communities = std::move(*communities);
-          if (engine_ != nullptr) {
-            engine_->announce(scratch);
-          } else {
-            classifier_.ingest(scratch);
-          }
-          ++ingested;
+          ++errors;
+          continue;
         }
-        if (engine_ != nullptr) {
-          // Publish label changes now so subscribers see protocol-driven
-          // evidence without waiting for the next decode batch boundary.
-          engine_->reclassify();
-          entries = static_cast<std::size_t>(engine_->stats().announces);
-        } else {
-          classifier_.record_decode_outcome(ingested, errors);
-          entries = classifier_.entries_ingested();
-          // Settle the new evidence before the response commits: a LABEL
-          // that observes this OK observes the labels it implies — from
-          // a new epoch when a label flipped, from the current one (which
-          // already answers them) when none did.
-          publish_classic_epoch_locked();
+        auto communities = parse_communities(communities_field);
+        if (!communities) {
+          if (pairs == 1) {
+            response = util::format(
+                "ERR '%.*s' is not a comma-separated community list",
+                static_cast<int>(communities_field.size()),
+                communities_field.data());
+            return true;
+          }
+          ++errors;
+          continue;
         }
+        scratch.route.path = std::move(*path);
+        scratch.route.communities = std::move(*communities);
+        engine_->announce(scratch);
+        ++ingested;
       }
-      response = util::format("OK ingested=%zu errors=%llu entries=%zu",
-                              ingested,
-                              static_cast<unsigned long long>(errors),
-                              entries);
+      engine_->record_decode(ingested, errors);
+      // Settle and publish before the response commits: a LABEL that
+      // observes this OK observes the labels it implies — from a new
+      // epoch when a label flipped, from the current one (which already
+      // answers them) when none did.  Subscribers get the events now,
+      // not at the next decode batch boundary.
+      engine_->reclassify();
+      refresh_epoch();
+      response = util::format(
+          "OK ingested=%zu errors=%llu entries=%llu", ingested,
+          static_cast<unsigned long long>(errors),
+          static_cast<unsigned long long>(engine_->announces()));
       return true;
     }
 
     if (command == "TOTALS") {
-      std::size_t communities = 0;
-      std::size_t information = 0;
-      std::size_t action = 0;
-      std::size_t unclassified = 0;
-      if (engine_ != nullptr) {
-        const stream::WindowClassifier::Totals totals = engine_->totals();
-        communities = totals.communities;
-        information = totals.information;
-        action = totals.action;
-        unclassified = totals.unclassified;
-      } else {
-        const std::lock_guard<std::mutex> lock(classifier_mutex_);
-        // Settle through the epoch publisher, not classifier_.totals()
-        // alone: totals() consumes the dirty set privately, which would
-        // strand the published RCU epoch on pre-settle labels forever
-        // (classic_stale_ clears with nothing ever published).
-        publish_classic_epoch_locked();
-        const core::IncrementalClassifier::Totals totals =
-            classifier_.totals();
-        communities = totals.communities;
-        information = totals.information;
-        action = totals.action;
-        unclassified = totals.unclassified;
-      }
+      const stream::WindowClassifier::Totals totals = engine_->totals();
       response = util::format(
           "OK communities=%zu information=%zu action=%zu unclassified=%zu",
-          communities, information, action, unclassified);
+          totals.communities, totals.information, totals.action,
+          totals.unclassified);
       return true;
     }
 
@@ -1025,12 +983,6 @@ bool Server::handle_command(Shard& shard, const std::string& line,
     }
 
     if (command == "SUBSCRIBE") {
-      if (engine_ == nullptr) {
-        response =
-            "ERR SUBSCRIBE requires a stream-mode server (bgpintent stream "
-            "--listen)";
-        return true;
-      }
       bool want_snapshot = false;
       std::uint64_t from = 0;
       bool have_from = false;
@@ -1080,12 +1032,6 @@ bool Server::handle_command(Shard& shard, const std::string& line,
     }
 
     if (command == "SNAPSHOT") {
-      if (engine_ != nullptr) {
-        response =
-            "ERR SNAPSHOT is not supported in stream mode (window state is "
-            "transient; see docs/STREAMING.md)";
-        return true;
-      }
       if (fields.size() != 2) {
         response = "ERR usage: SNAPSHOT <file>";
         return true;
@@ -1128,14 +1074,8 @@ void Server::record_query_latency(Shard& shard, double microseconds) {
 }
 
 void Server::write_snapshot_file(const std::string& path) {
-  if (engine_ != nullptr)
-    throw ServeError("snapshots are not supported in stream mode");
-  std::vector<std::uint8_t> bytes;
-  {
-    const std::lock_guard<std::mutex> lock(classifier_mutex_);
-    bytes = encode_snapshot(classifier_);
-  }
-  util::write_file_durably<SnapshotError>(path, bytes);
+  ensure_restored();
+  save_snapshot(*engine_, path);
 }
 
 ServerStats Server::stats() const {
@@ -1154,27 +1094,19 @@ ServerStats Server::stats() const {
   s.label_epochs = labels_.load()->version;
   for (const auto& shard : shards_)
     s.loop_wakeups += shard->wakeups.load(std::memory_order_relaxed);
-  if (engine_ != nullptr) {
-    const stream::EngineStats es = engine_->stats();
-    s.entries_ingested = es.announces;
-    s.dirty_alphas = es.dirty_alphas;
-    s.decode_records_ok = es.updates_ok;
-    s.decode_records_skipped = es.updates_errors;
-    s.updates_ok = es.updates_ok;
-    s.updates_errors = es.updates_errors;
-    s.window_epochs = es.window_epochs;
-    s.reclassified_communities = es.reclassified_communities;
-    s.journal_appends = es.journal_appends;
-    s.journal_bytes = es.journal_bytes;
-    s.recovered_events = es.recovered_events;
-    s.torn_tail_truncated = es.torn_tail_truncated;
-  } else {
-    const std::lock_guard<std::mutex> lock(classifier_mutex_);
-    s.entries_ingested = classifier_.entries_ingested();
-    s.dirty_alphas = classifier_.dirty_alpha_count();
-    s.decode_records_ok = classifier_.decode_records_ok();
-    s.decode_records_skipped = classifier_.decode_records_skipped();
-  }
+  const stream::EngineStats es = engine_->stats();
+  s.entries_ingested = es.announces;
+  s.dirty_alphas = es.dirty_alphas;
+  s.decode_records_ok = es.updates_ok;
+  s.decode_records_skipped = es.updates_errors;
+  s.updates_ok = es.updates_ok;
+  s.updates_errors = es.updates_errors;
+  s.window_epochs = es.window_epochs;
+  s.reclassified_communities = es.reclassified_communities;
+  s.journal_appends = es.journal_appends;
+  s.journal_bytes = es.journal_bytes;
+  s.recovered_events = es.recovered_events;
+  s.torn_tail_truncated = es.torn_tail_truncated;
   std::vector<double> window;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->latency_mutex);

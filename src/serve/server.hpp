@@ -1,5 +1,7 @@
-// Long-running query daemon over an IncrementalClassifier or a
-// stream::StreamEngine — the shard-per-core epoll serve tier.
+// Long-running query daemon over a stream::StreamEngine — the
+// shard-per-core epoll serve tier behind `bgpintent serve` (a non-expiring
+// window primed from RIB dumps) and `bgpintent stream --listen` (a sliding
+// window fed by update files).  Both answer the same verbs.
 //
 // Architecture (docs/SERVING.md):
 //
@@ -11,32 +13,29 @@
 //     fds to the other shards round-robin over eventfd-signalled queues.
 //   * Classification state is published RCU-style (serve/labels.hpp): a
 //     warm LABEL query reads the shard's cached epoch after one atomic
-//     load and probes one flat array — it takes no lock, the classifier
-//     mutex included.  INGEST (and
-//     stream reclassification) hand their settled labels to
+//     load and probes one flat array — it takes no lock, the engine mutex
+//     included.  The engine's label-change events fold into
 //     LabelView::publish_changes, which publishes a copy-on-write epoch
-//     with a single pointer swap only when a label actually changed (or,
-//     in stream mode, the engine sequence advanced).
+//     with a single pointer swap only when a label actually changed or
+//     the engine sequence advanced.  INGEST folds them before it answers,
+//     so a LABEL after its OK sees the labels it implies.
 //   * Two wire protocols share the port: the line protocol of
 //     serve/protocol.hpp (unchanged, first byte is printable ASCII) and
 //     the length-prefixed binary protocol of serve/binary.hpp (first
 //     byte 0xB6), with responses encoded into a per-connection arena
 //     buffer that is reused across requests.
 //   * Idle shards block in epoll_wait indefinitely: periodic snapshots
-//     tick on a timerfd (armed only when configured), stop and stream
+//     tick on a timerfd (armed only when configured), stop and engine
 //     publish notifications arrive on per-shard eventfds, and the
 //     loop_wakeups counter in STATS proves an idle server wakes ~never.
-//
-// Two backing modes share the command surface:
-//   * classic (owned IncrementalClassifier): LABEL / INGEST / TOTALS /
-//     STATS / SNAPSHOT; SUBSCRIBE answers ERR (no event stream exists);
-//   * stream (borrowed stream::StreamEngine, `bgpintent stream --listen`):
-//     the same verbs answer from the sliding window, SNAPSHOT answers ERR
-//     (stream durability lives in the journal — docs/STREAMING.md §6),
-//     and SUBSCRIBE turns the connection into a push stream of
-//     label-change EVENT lines with delta/snapshot resumption.  The
-//     engine's publish hook wakes every shard, so events reach parked
-//     subscribers without polling.
+//   * SUBSCRIBE turns a connection into a push stream of label-change
+//     EVENT lines with delta/snapshot resumption; the engine's publish
+//     hook wakes every shard, so events reach parked subscribers without
+//     polling.  SNAPSHOT writes the engine's state image
+//     (stream/image.hpp), the same file a journal checkpoint is.
+//   * A server handed a MappedSnapshot answers LABEL from the image's
+//     label columns and restores the engine from the mapping on the first
+//     request that needs it (INGEST, TOTALS, SUBSCRIBE, SNAPSHOT, STATS).
 //
 // Robustness guarantees (unchanged from the poll-slice daemon):
 //   * per-connection idle timeout (ServerConfig::read_timeout_ms),
@@ -69,9 +68,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/incremental.hpp"
 #include "serve/labels.hpp"
 #include "serve/protocol.hpp"
+#include "serve/snapshot.hpp"
 #include "stream/engine.hpp"
 
 namespace bgpintent::serve {
@@ -88,7 +87,8 @@ struct ServerConfig {
   /// Write a snapshot to `snapshot_path` every this many seconds (0 = only
   /// via the SNAPSHOT command and on graceful shutdown).
   unsigned snapshot_interval_s = 0;
-  /// Snapshot destination; empty disables automatic snapshots.
+  /// Snapshot destination; empty disables automatic snapshots, the
+  /// periodic one and the final one written on drain.
   std::string snapshot_path;
   /// Per-subscriber outbox cap: once a subscriber's unsent bytes reach
   /// this, no further events are queued for it (backpressure falls to the
@@ -110,10 +110,12 @@ struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t queries_served = 0;  ///< LABEL lookups (batch items count)
   std::uint64_t batch_queries = 0;   ///< binary BATCH-LABEL frames answered
-  std::uint64_t entries_ingested = 0;
+  std::uint64_t entries_ingested = 0;  ///< announcements applied
   std::uint64_t dirty_alphas = 0;
-  /// Cumulative decode outcome across every ingest path (MRT priming,
-  /// INGEST batches, restored snapshots) — docs/ROBUSTNESS.md.
+  /// Cumulative decode outcome across every input path — MRT records of
+  /// RIB dumps and update files, INGEST pairs, and what a restored image
+  /// carried (docs/ROBUSTNESS.md).  STATS reports it twice, as
+  /// decode_ok/decode_errors and as updates_ok/updates_errors.
   std::uint64_t decode_records_ok = 0;
   std::uint64_t decode_records_skipped = 0;
   double p50_query_us = 0.0;  ///< over a window of recent LABEL queries
@@ -125,7 +127,7 @@ struct ServerStats {
   /// regression counter: an idle server must keep this near zero.
   std::uint64_t loop_wakeups = 0;
   std::uint64_t binary_connections = 0;  ///< connections that sent the magic
-  // Stream-mode counters (docs/STREAMING.md); zero in classic mode.
+  // Window counters (docs/STREAMING.md).
   std::uint64_t updates_ok = 0;
   std::uint64_t updates_errors = 0;
   std::uint64_t window_epochs = 0;
@@ -140,14 +142,15 @@ struct ServerStats {
 
 class Server {
  public:
-  /// Takes ownership of the classifier (prime it and attach the org map
-  /// before constructing).  Does not touch the network until start().
-  explicit Server(core::IncrementalClassifier classifier,
-                  ServerConfig config = {});
-
-  /// Stream mode: serves (and subscribes to) a borrowed StreamEngine that
-  /// the caller keeps feeding — the engine must outlive the server.
-  explicit Server(stream::StreamEngine& engine, ServerConfig config = {});
+  /// Serves (and subscribes to) a borrowed StreamEngine that the caller
+  /// may keep feeding; the engine must outlive the server.  With `image`,
+  /// the engine must be empty and constructed under the image's config:
+  /// the first label epoch is the image's label columns, and the engine
+  /// is restored from the mapping when a request first needs it (at
+  /// start() when the image is not settled).  Does not touch the network
+  /// until start().
+  explicit Server(stream::StreamEngine& engine, ServerConfig config = {},
+                  std::shared_ptr<const MappedSnapshot> image = nullptr);
 
   /// Joins everything; equivalent to request_stop() + wait().
   ~Server();
@@ -214,8 +217,8 @@ class Server {
     /// Wake channel: stop requests, stream publish notifications, and
     /// handed-off fds all signal this.
     int event_fd = -1;
-    /// Periodic snapshot tick (shard 0, classic mode, interval set);
-    /// -1 — and the loop blocks forever — otherwise.
+    /// Periodic snapshot tick (shard 0, interval and path set); -1 — and
+    /// the loop blocks forever — otherwise.
     int timer_fd = -1;
     std::thread thread;
     std::unordered_map<int, Conn> conns;
@@ -252,9 +255,9 @@ class Server {
   void dispatch_binary(Shard& shard, Conn& conn, std::uint8_t op,
                        std::span<const unsigned char> body);
   /// The RCU fast path: the current epoch through the shard's cached
-  /// reader, refreshing it first when the stream engine published past it
-  /// (or holds unsettled dirty state).  Lock-free whenever the snapshot
-  /// is warm; valid until the shard's next query.
+  /// reader, refreshing it first when the engine published past it (or
+  /// holds unsettled dirty state).  Lock-free whenever the snapshot is
+  /// warm; valid until the shard's next query.
   [[nodiscard]] const LabelTable& query_snapshot(Shard& shard);
   [[nodiscard]] dict::Intent query_label(Shard& shard,
                                          bgp::Community community);
@@ -266,8 +269,8 @@ class Server {
   /// queue cap (snapshot resync on a trimmed gap); sets `lagged` when the
   /// peer can no longer be caught up.
   void queue_events(Conn& conn, bool& lagged);
-  /// Pushes pending events to this shard's subscribers (stream mode, on
-  /// publish-hook wakeups) and reaps the dead ones.
+  /// Pushes pending events to this shard's subscribers (on publish-hook
+  /// wakeups) and reaps the dead ones.
   void service_subscribers(Shard& shard);
   /// Marks a subscriber uncatchable: truncates its unsent backlog at the
   /// end of the line currently in flight (a partial send can leave the
@@ -280,37 +283,33 @@ class Server {
   void notify_all_shards() noexcept;
 
   // --- label epochs (RCU write side) ---
-  /// Classic mode: settles dirty alphas and publishes the next epoch when
-  /// a label changed.  Caller holds classifier_mutex_.
-  void publish_classic_epoch_locked();
-  /// Stream mode: folds engine deltas (or, on a ring gap, a full snapshot
-  /// diffed against the epoch) into a fresh epoch when the current one is
-  /// stale.
-  void refresh_stream_epoch();
+  /// Folds engine deltas (or, on a ring gap, a full snapshot diffed
+  /// against the epoch) into a fresh epoch when the current one is stale.
+  void refresh_epoch();
+
+  /// Restores the engine from `image_` unless that already happened.
+  /// Throws SnapshotError when the image does not decode.
+  void ensure_restored();
 
   void record_query_latency(Shard& shard, double microseconds);
   void write_snapshot_file(const std::string& path);
 
-  core::IncrementalClassifier classifier_;
-  stream::StreamEngine* engine_ = nullptr;  ///< non-null in stream mode
+  stream::StreamEngine* engine_;
   ServerConfig config_;
+  std::shared_ptr<const MappedSnapshot> image_;
+  /// True until the engine is restored from `image_`.
+  std::atomic<bool> restore_pending_{false};
+  std::mutex restore_mutex_;
 
   /// RCU label publication point shared by every shard (serve/labels.hpp).
   LabelView labels_;
-  /// Writer-side ordering for refresh_stream_epoch (stream mode);
-  /// classic-mode epochs are ordered by classifier_mutex_.
+  /// Writer-side ordering for refresh_epoch.
   std::mutex refresh_mutex_;
-
-  mutable std::mutex classifier_mutex_;
 
   static constexpr std::size_t kLatencyWindow = 4096;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
-  /// Classic mode only: true while the published epoch predates dirty
-  /// classifier state handed to the constructor (the first query settles
-  /// it).  INGEST publishes eagerly, so this never re-arms after start().
-  std::atomic<bool> classic_stale_{false};
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> queries_served_{0};
   std::atomic<std::uint64_t> batch_queries_{0};

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <istream>
+#include <stdexcept>
 
+#include "mrt/mrt_file.hpp"
 #include "stream/checkpoint.hpp"
+#include "stream/image.hpp"
 
 namespace bgpintent::stream {
 
@@ -67,6 +70,49 @@ void StreamEngine::ingest(std::istream& in, const mrt::DecodeOptions& options,
   fold_decode_locked(local.records_ok, local.records_skipped);
   reclassify_locked();
   if (report) *report = std::move(local);
+}
+
+void StreamEngine::prime(const mrt::ByteSource& rib,
+                         const mrt::DecodeOptions& options,
+                         mrt::DecodeReport* report) {
+  class Sink final : public mrt::EntrySink {
+   public:
+    explicit Sink(WindowClassifier& window) noexcept : window_(&window) {}
+    void on_entry(bgp::RibEntry& entry) override {
+      window_->announce(entry, window_->latest_timestamp());
+    }
+
+   private:
+    WindowClassifier* window_;
+  };
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (journal_)
+    throw std::logic_error("cannot prime an engine with a journal attached");
+  Sink sink(window_);
+  mrt::DecodeReport local;
+  const auto finish = [&] {
+    fold_decode_locked(local.records_ok, local.records_skipped);
+    pending_dirty_.store(window_.dirty_alpha_count() > 0,
+                         std::memory_order_release);
+    if (report) *report = std::move(local);
+  };
+  try {
+    mrt::decode_rib_stream(rib, sink, options, &local);
+  } catch (...) {
+    finish();
+    throw;
+  }
+  finish();
+}
+
+void StreamEngine::record_decode(std::uint64_t ok, std::uint64_t skipped) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  fold_decode_locked(ok, skipped);
+}
+
+std::uint64_t StreamEngine::announces() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return window_.announces();
 }
 
 void StreamEngine::announce(const bgp::RibEntry& entry,
@@ -184,12 +230,7 @@ void StreamEngine::publish_locked(std::vector<LabelChange>&& changes) {
   for (LabelChange& change : changes) {
     events_.push_back(Event{next_seq_++, std::move(change)});
   }
-  if (events_.size() > kMaxBufferedEvents) {
-    events_.erase(events_.begin(),
-                  events_.begin() +
-                      static_cast<std::ptrdiff_t>(events_.size() -
-                                                  kMaxBufferedEvents));
-  }
+  while (events_.size() > kMaxBufferedEvents) events_.pop_front();
   if (any) {
     published_seq_.store(next_seq_ - 1, std::memory_order_release);
     if (publish_hook_) publish_hook_();
@@ -271,21 +312,31 @@ void StreamEngine::checkpoint_now() {
 }
 
 void StreamEngine::write_checkpoint_locked() {
-  CheckpointData data;
-  data.config = window_.config();
-  data.state = export_state_locked();
+  const std::vector<std::uint8_t> image = encode_image_locked();
   // Make the covered journal prefix durable before naming it in the
   // checkpoint, so a loadable checkpoint never claims records the journal
   // cannot serve.
   journal_->sync();
   save_checkpoint(journal_->config().directory, journal_->next_record(),
-                  data);
+                  image);
 }
 
-EngineState StreamEngine::export_state_locked() const {
+std::vector<std::uint8_t> StreamEngine::encode_image() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return encode_image_locked();
+}
+
+std::vector<std::uint8_t> StreamEngine::encode_image_locked() const {
+  // The paths go in as PathTable columns, not as materialized rows.
+  return stream::encode_image(window_.config(),
+                              export_state_locked(/*with_paths=*/false),
+                              window_.paths());
+}
+
+EngineState StreamEngine::export_state_locked(bool with_paths) const {
   EngineState state;
-  state.window = window_.export_state();
-  state.events = events_;
+  state.window = window_.export_state(with_paths);
+  state.events.assign(events_.begin(), events_.end());
   state.next_seq = next_seq_;
   state.decode_ok = decode_ok_;
   state.decode_errors = decode_errors_;
@@ -295,13 +346,14 @@ EngineState StreamEngine::export_state_locked() const {
 
 EngineState StreamEngine::export_state() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return export_state_locked();
+  return export_state_locked(/*with_paths=*/true);
 }
 
-void StreamEngine::restore_state(const EngineState& state) {
+void StreamEngine::restore_state(const EngineState& state,
+                                 bgp::PathTable paths) {
   std::lock_guard<std::mutex> lock(mutex_);
-  window_.restore_state(state.window);
-  events_ = state.events;
+  window_.restore_state(state.window, std::move(paths));
+  events_.assign(state.events.begin(), state.events.end());
   next_seq_ = state.next_seq;
   decode_ok_ = state.decode_ok;
   decode_errors_ = state.decode_errors;

@@ -1,10 +1,13 @@
-// Thread-safe facade over WindowClassifier: the object the serve tier and
-// the `bgpintent stream` CLI share.
+// Thread-safe facade over WindowClassifier: the one evidence engine behind
+// `bgpintent stream` (a sliding window) and `bgpintent serve` (a
+// non-expiring window primed from RIB dumps).
 //
 // One mutex guards the window; decode loops ingest through the UpdateSink
 // bridge and trigger a reclassification pass every kReclassifyBatch
 // updates (and at end of source), so label-change events flow out while a
 // long stream is still being consumed instead of all at once at EOF.
+// Priming (prime) skips that cadence: it applies whole RIB dumps and the
+// caller runs one pass at the end.
 //
 // Label changes append to a bounded in-memory event log with a monotonic
 // sequence number.  Subscribers resume with events_since(seq): when the
@@ -16,12 +19,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "mrt/source.hpp"
 #include "mrt/update_stream.hpp"
 #include "stream/journal.hpp"
 #include "stream/window.hpp"
@@ -38,8 +43,12 @@ struct Event {
 
 /// Counter snapshot surfaced by serve STATS (docs/STREAMING.md).
 struct EngineStats {
-  std::uint64_t updates_ok = 0;      ///< MRT records decoded cleanly
-  std::uint64_t updates_errors = 0;  ///< records skipped by tolerant decode
+  /// Inputs that decoded cleanly: MRT records (RIB dumps and update
+  /// files) plus well-formed INGEST pairs.
+  std::uint64_t updates_ok = 0;
+  /// Inputs skipped: MRT records dropped by a tolerant decode plus
+  /// malformed pairs of a batch INGEST.
+  std::uint64_t updates_errors = 0;
   std::uint64_t announces = 0;
   std::uint64_t withdraws = 0;
   std::uint64_t window_epochs = 0;   ///< non-empty epochs retained
@@ -112,11 +121,23 @@ class StreamEngine {
   /// Canonical image of the engine (window + event log + cadence).
   [[nodiscard]] EngineState export_state() const;
 
-  /// Replaces the engine's contents with `state`.  The engine must have
-  /// been constructed with the WindowConfig/OrgMap the state was exported
-  /// under; any attached journal is unaffected (recovery attaches the
-  /// journal after restoring).
-  void restore_state(const EngineState& state);
+  /// Replaces the engine's contents with `state`; `paths` is the path
+  /// table when `state.window.paths` is empty (a decoded state image,
+  /// stream/image.hpp).  The engine must have been constructed with the
+  /// WindowConfig/OrgMap the state was exported under; any attached
+  /// journal is unaffected (recovery attaches the journal after
+  /// restoring).
+  void restore_state(const EngineState& state, bgp::PathTable paths = {});
+
+  /// The engine as one state image (stream/image.hpp): what journal
+  /// checkpoints, `serve --snapshot` and SNAPSHOT write.  Does not
+  /// reclassify; call reclassify() first for an image whose label
+  /// columns are settled.
+  [[nodiscard]] std::vector<std::uint8_t> encode_image() const;
+
+  [[nodiscard]] const WindowConfig& config() const noexcept {
+    return window_.config();
+  }
 
   /// Decodes one update source into the window (strict or tolerant, same
   /// semantics as mrt::decode_update_stream), reclassifying every
@@ -129,10 +150,27 @@ class StreamEngine {
   void ingest(std::istream& in, const mrt::DecodeOptions& options = {},
               mrt::DecodeReport* report = nullptr);
 
+  /// Applies every row of one RIB dump to the window at its latest
+  /// timestamp, with no batch cadence and no reclassification pass: a
+  /// caller priming from several dumps runs reclassify() once after the
+  /// last.  Decode counters fold into the engine stats, also on throw.
+  /// Priming is not journaled, so it throws std::logic_error on an engine
+  /// with a journal attached.
+  void prime(const mrt::ByteSource& rib, const mrt::DecodeOptions& options = {},
+             mrt::DecodeReport* report = nullptr);
+
   /// Ingests one announcement directly (the serve INGEST verb).  When
   /// `timestamp` is zero the window's latest stream timestamp is reused,
   /// so protocol-driven entries never move the window backward.
   void announce(const bgp::RibEntry& entry, std::uint32_t timestamp = 0);
+
+  /// Folds an outcome decoded outside the engine (a batch INGEST's
+  /// well-formed and malformed pairs) into the decode counters; journaled
+  /// like an MRT source's.
+  void record_decode(std::uint64_t ok, std::uint64_t skipped);
+
+  /// Announcements applied so far (WindowClassifier::announces).
+  [[nodiscard]] std::uint64_t announces() const;
 
   /// Reclassifies dirty alphas now, publishing any label changes.
   void reclassify();
@@ -207,11 +245,12 @@ class StreamEngine {
   void fold_decode_locked(std::uint64_t records_ok,
                           std::uint64_t records_skipped);
   void write_checkpoint_locked();
-  [[nodiscard]] EngineState export_state_locked() const;
+  [[nodiscard]] std::vector<std::uint8_t> encode_image_locked() const;
+  [[nodiscard]] EngineState export_state_locked(bool with_paths) const;
 
   mutable std::mutex mutex_;
   WindowClassifier window_;
-  std::vector<Event> events_;   // trimmed front at kMaxBufferedEvents
+  std::deque<Event> events_;   // trimmed front at kMaxBufferedEvents
   std::uint64_t next_seq_ = 1;
   std::uint64_t decode_ok_ = 0;
   std::uint64_t decode_errors_ = 0;

@@ -377,7 +377,7 @@ std::unique_ptr<StreamEngine> recover_stream(const JournalConfig& config,
 
   // Checkpoint selection: newest loadable checkpoint covering <= the
   // valid prefix.  Tolerant recovery falls back past damaged files.
-  std::optional<CheckpointData> checkpoint;
+  std::optional<StateImage> checkpoint;
   std::uint64_t checkpoint_record = 0;
   std::error_code exists_ec;
   auto checkpoints = fs::exists(directory, exists_ec)
@@ -407,7 +407,7 @@ std::unique_ptr<StreamEngine> recover_stream(const JournalConfig& config,
 
   auto engine = std::make_unique<StreamEngine>(final_config, options.orgs);
   if (checkpoint) {
-    engine->restore_state(checkpoint->state);
+    engine->restore_state(checkpoint->state, checkpoint->paths);
     report.used_checkpoint = true;
     report.checkpoint_record = checkpoint_record;
   }
@@ -427,7 +427,7 @@ std::unique_ptr<StreamEngine> recover_stream(const JournalConfig& config,
     // checkpoint covers records *before* the failure point, which is
     // >= checkpoint_record).  Re-recover over the now-clean prefix.
     engine = std::make_unique<StreamEngine>(final_config, options.orgs);
-    if (checkpoint) engine->restore_state(checkpoint->state);
+    if (checkpoint) engine->restore_state(checkpoint->state, checkpoint->paths);
     JournalReplayer retry(*engine, options.strict);
     ReplayDrive second = drive_replay(retry, directory, checkpoint_record,
                                       options.strict);

@@ -23,6 +23,19 @@ namespace {
   return Community::from_wire(static_cast<std::uint32_t>(key));
 }
 
+/// The cached label of `beta` in a beta-sorted label list.
+[[nodiscard]] Intent find_label(
+    const std::vector<std::pair<std::uint16_t, Intent>>& labels,
+    std::uint16_t beta) noexcept {
+  const auto it = std::lower_bound(
+      labels.begin(), labels.end(), beta,
+      [](const std::pair<std::uint16_t, Intent>& label, std::uint16_t b) {
+        return label.first < b;
+      });
+  return it == labels.end() || it->first != beta ? Intent::kUnclassified
+                                                 : it->second;
+}
+
 }  // namespace
 
 void WindowClassifier::advance_to(std::uint32_t timestamp) {
@@ -42,13 +55,12 @@ void WindowClassifier::advance_to(std::uint32_t timestamp) {
     Epoch expired = std::move(ring_.front());
     ring_.pop_front();
     ++expired_epochs_;
-    for (const auto& [key, count] : expired.tuples) {
-      const auto ref = window_refs_.find(key);
-      ref->second -= count;
-      if (ref->second == 0) {
-        window_refs_.erase(ref);
-        deactivate_tuple(key);
-      }
+    // A key seen again in a later epoch is listed there too and stays.
+    for (const std::uint64_t key : expired.keys) {
+      const auto seen = last_seen_.find(key);
+      if (seen == last_seen_.end() || seen->second != expired.id) continue;
+      last_seen_.erase(seen);
+      deactivate_tuple(key);
     }
   }
 }
@@ -70,8 +82,15 @@ void WindowClassifier::announce(const bgp::RibEntry& entry,
   Epoch& epoch = newest_epoch();
   for (const Community community : entry.route.communities) {
     const std::uint64_t key = pack_key(path, community);
-    ++epoch.tuples[key];
-    if (++window_refs_[key] == 1) activate_tuple(key);
+    const auto [seen, fresh] = last_seen_.try_emplace(key, epoch.id);
+    if (fresh) {
+      activate_tuple(key);
+    } else if (seen->second != epoch.id) {
+      seen->second = epoch.id;
+    } else {
+      continue;  // already listed in this epoch
+    }
+    epoch.keys.push_back(key);
   }
 }
 
@@ -173,8 +192,9 @@ void WindowClassifier::relabel_alpha(std::uint16_t alpha, AlphaCounts& counts,
                                      std::vector<LabelChange>& out) {
   reclassified_communities_ += counts.betas.size();
 
-  std::unordered_map<std::uint16_t, Intent> previous;
+  Labels previous;
   previous.swap(counts.labels);
+  counts.labels.reserve(previous.size());
 
   std::vector<core::BetaCounts> evidence;
   core::label_alpha_counts(
@@ -190,24 +210,26 @@ void WindowClassifier::relabel_alpha(std::uint16_t alpha, AlphaCounts& counts,
         return std::span<const core::BetaCounts>(evidence);
       },
       config_.classifier, [&counts](const core::ClusterDecision& cluster) {
+        // Clusters and their members arrive in ascending beta order.
         for (const core::BetaCounts& member : cluster.members)
-          counts.labels.emplace(member.beta, cluster.intent);
+          counts.labels.emplace_back(member.beta, cluster.intent);
       });
 
-  // Diff previous vs. current labels in ascending beta order.
-  std::vector<std::uint16_t> betas;
-  betas.reserve(previous.size() + counts.labels.size());
-  for (const auto& [beta, intent] : previous) betas.push_back(beta);
-  for (const auto& [beta, intent] : counts.labels) betas.push_back(beta);
-  std::sort(betas.begin(), betas.end());
-  betas.erase(std::unique(betas.begin(), betas.end()), betas.end());
-  for (const std::uint16_t beta : betas) {
-    const auto before = previous.find(beta);
-    const auto after = counts.labels.find(beta);
+  // Merge the two beta-sorted lists: transitions in ascending beta order.
+  auto before = previous.begin();
+  auto after = counts.labels.begin();
+  while (before != previous.end() || after != counts.labels.end()) {
+    const bool take_before =
+        after == counts.labels.end() ||
+        (before != previous.end() && before->first <= after->first);
+    const bool take_after =
+        before == previous.end() ||
+        (after != counts.labels.end() && after->first <= before->first);
+    const std::uint16_t beta = take_before ? before->first : after->first;
     const Intent old_intent =
-        before == previous.end() ? Intent::kUnclassified : before->second;
+        take_before ? (before++)->second : Intent::kUnclassified;
     const Intent new_intent =
-        after == counts.labels.end() ? Intent::kUnclassified : after->second;
+        take_after ? (after++)->second : Intent::kUnclassified;
     if (old_intent != new_intent)
       out.push_back(LabelChange{Community(alpha, beta), old_intent,
                                 new_intent, current_epoch_});
@@ -221,16 +243,10 @@ std::vector<LabelChange> WindowClassifier::reclassify_dirty() {
     if (it == alphas_.end()) continue;
     if (it->second.betas.empty()) {
       // Every observation of this alpha expired: retire cached labels.
-      AlphaCounts retired = std::move(it->second);
-      alphas_.erase(it);
-      std::vector<std::uint16_t> betas;
-      betas.reserve(retired.labels.size());
-      for (const auto& [beta, intent] : retired.labels) betas.push_back(beta);
-      std::sort(betas.begin(), betas.end());
-      for (const std::uint16_t beta : betas)
-        changes.push_back(LabelChange{Community(alpha, beta),
-                                      retired.labels.at(beta),
+      for (const auto& [beta, intent] : it->second.labels)
+        changes.push_back(LabelChange{Community(alpha, beta), intent,
                                       Intent::kUnclassified, current_epoch_});
+      alphas_.erase(it);
       continue;
     }
     relabel_alpha(alpha, it->second, changes);
@@ -245,10 +261,8 @@ void WindowClassifier::mark_all_dirty() {
 
 Intent WindowClassifier::label_of(Community community) const noexcept {
   const auto it = alphas_.find(community.alpha());
-  if (it == alphas_.end()) return Intent::kUnclassified;
-  const auto label = it->second.labels.find(community.beta());
-  return label == it->second.labels.end() ? Intent::kUnclassified
-                                          : label->second;
+  return it == alphas_.end() ? Intent::kUnclassified
+                             : find_label(it->second.labels, community.beta());
 }
 
 WindowClassifier::Totals WindowClassifier::totals() const {
@@ -256,10 +270,10 @@ WindowClassifier::Totals WindowClassifier::totals() const {
   for (const auto& [alpha, counts] : alphas_) {
     for (const auto& [beta, on_off] : counts.betas) {
       ++totals.communities;
-      const auto label = counts.labels.find(beta);
-      if (label == counts.labels.end()) {
+      const Intent label = find_label(counts.labels, beta);
+      if (label == Intent::kUnclassified) {
         ++totals.unclassified;
-      } else if (label->second == Intent::kInformation) {
+      } else if (label == Intent::kInformation) {
         ++totals.information;
       } else {
         ++totals.action;
@@ -280,8 +294,8 @@ std::vector<std::pair<Community, Intent>> WindowClassifier::labels() const {
 
 std::vector<bgp::InternedTuple> WindowClassifier::window_tuples() const {
   std::vector<std::uint64_t> keys;
-  keys.reserve(window_refs_.size());
-  for (const auto& [key, count] : window_refs_) keys.push_back(key);
+  keys.reserve(last_seen_.size());
+  for (const auto& [key, epoch] : last_seen_) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   std::vector<bgp::InternedTuple> tuples;
   tuples.reserve(keys.size());
@@ -290,18 +304,21 @@ std::vector<bgp::InternedTuple> WindowClassifier::window_tuples() const {
   return tuples;
 }
 
-WindowState WindowClassifier::export_state() const {
+WindowState WindowClassifier::export_state(bool with_paths) const {
   WindowState state;
 
-  state.paths.reserve(paths_.size());
-  for (bgp::PathId id = 0; id < paths_.size(); ++id)
-    state.paths.push_back(paths_.materialize(id));
+  if (with_paths) {
+    state.paths.reserve(paths_.size());
+    for (bgp::PathId id = 0; id < paths_.size(); ++id)
+      state.paths.push_back(paths_.materialize(id));
+  }
 
   state.ring.reserve(ring_.size());
   for (const Epoch& epoch : ring_) {
     WindowState::EpochState out;
     out.id = epoch.id;
-    out.tuples.assign(epoch.tuples.begin(), epoch.tuples.end());
+    for (const std::uint64_t key : epoch.keys)
+      if (last_seen_.at(key) == epoch.id) out.tuples.emplace_back(key, 1);
     std::sort(out.tuples.begin(), out.tuples.end());
     state.ring.push_back(std::move(out));
   }
@@ -310,8 +327,7 @@ WindowState WindowClassifier::export_state() const {
     if (counts.labels.empty()) continue;
     WindowState::AlphaLabels out;
     out.alpha = alpha;
-    out.labels.assign(counts.labels.begin(), counts.labels.end());
-    std::sort(out.labels.begin(), out.labels.end());
+    out.labels = counts.labels;
     state.alphas.push_back(std::move(out));
   }
   std::sort(state.alphas.begin(), state.alphas.end(),
@@ -330,11 +346,11 @@ WindowState WindowClassifier::export_state() const {
   return state;
 }
 
-void WindowClassifier::restore_state(const WindowState& state) {
-  paths_ = bgp::PathTable{};
+void WindowClassifier::restore_state(const WindowState& state,
+                                     bgp::PathTable paths) {
   on_path_memo_.clear();
   ring_.clear();
-  window_refs_.clear();
+  last_seen_.clear();
   path_refs_.clear();
   asn_refs_.clear();
   alphas_.clear();
@@ -342,34 +358,39 @@ void WindowClassifier::restore_state(const WindowState& state) {
 
   // PathIds are dense intern order, so re-interning the exported paths in
   // order reproduces every id the ring keys reference.
-  for (const bgp::AsPath& path : state.paths) paths_.intern(path);
+  if (state.paths.empty()) {
+    paths_ = std::move(paths);
+  } else {
+    paths_ = bgp::PathTable{};
+    for (const bgp::AsPath& path : state.paths) paths_.intern(path);
+  }
 
   for (const WindowState::EpochState& epoch : state.ring) {
     Epoch rebuilt;
     rebuilt.id = epoch.id;
-    rebuilt.tuples.reserve(epoch.tuples.size());
+    rebuilt.keys.reserve(epoch.tuples.size());
     for (const auto& [key, count] : epoch.tuples) {
       if (key_path(key) >= paths_.size())
         throw std::runtime_error(
             "window state ring references an unknown path");
-      rebuilt.tuples.emplace(key, count);
-      window_refs_[key] += count;
+      if (!last_seen_.try_emplace(key, epoch.id).second)
+        throw std::runtime_error(
+            "window state ring lists a key in two epochs");
+      rebuilt.keys.push_back(key);
     }
     ring_.push_back(std::move(rebuilt));
   }
 
   // activate_tuple per live key rebuilds path/asn refcounts and beta
   // counters; the final state is order-independent (pure increments).
-  for (const auto& [key, count] : window_refs_) activate_tuple(key);
+  for (const auto& [key, epoch] : last_seen_) activate_tuple(key);
 
   // Classification history is carried verbatim, not derived: overwrite the
   // labels and the dirty set activate_tuple just polluted.
   dirty_.clear();
   dirty_.insert(state.dirty.begin(), state.dirty.end());
   for (const WindowState::AlphaLabels& alpha : state.alphas) {
-    auto& labels = alphas_[alpha.alpha].labels;
-    labels.clear();
-    labels.insert(alpha.labels.begin(), alpha.labels.end());
+    alphas_[alpha.alpha].labels = alpha.labels;
   }
 
   started_ = state.started;
@@ -387,15 +408,15 @@ std::size_t WindowClassifier::memory_bytes() const noexcept {
   constexpr std::size_t kNode = 2 * sizeof(void*);
   std::size_t bytes = paths_.memory_bytes();
   bytes += on_path_memo_.size() * (kNode + sizeof(std::uint64_t) + 1);
-  bytes += window_refs_.size() * (kNode + 12);
+  bytes += last_seen_.size() * (kNode + 16);
   bytes += path_refs_.size() * (kNode + 8);
   bytes += asn_refs_.size() * (kNode + 8);
   for (const Epoch& epoch : ring_)
-    bytes += sizeof(Epoch) + epoch.tuples.size() * (kNode + 12);
+    bytes += sizeof(Epoch) + epoch.keys.capacity() * sizeof(std::uint64_t);
   for (const auto& [alpha, counts] : alphas_) {
     bytes += kNode + sizeof(AlphaCounts);
     bytes += counts.betas.size() * (kNode + sizeof(OnOff) + 2);
-    bytes += counts.labels.size() * (kNode + 3);
+    bytes += counts.labels.capacity() * sizeof(Labels::value_type);
   }
   bytes += dirty_.size() * (4 * sizeof(void*));
   return bytes;

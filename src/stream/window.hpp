@@ -1,13 +1,17 @@
 // Sliding-window intent classification over a live update stream.
 //
 // The batch pipeline classifies one frozen tuple set; a firehose consumer
-// wants the labels "as of the trailing week".  WindowClassifier keeps a
-// ring of per-epoch tuple deltas over one bgp::PathTable: every announced
-// (path, community) observation lands in the epoch of its collector
-// timestamp, epochs older than the window are popped whole, and all
-// classifier-facing state — per-community on/off unique-path counts, the
-// ASN-on-path universe, the alpha dirty set — is maintained by refcounts
-// on the 0<->1 transitions of those deltas.  Reclassification runs only
+// wants the labels "as of the trailing week".  WindowClassifier keys every
+// announced (path, community) observation, over one bgp::PathTable, to the
+// last epoch (collector-timestamp bucket) it was seen in.  Epochs expire
+// whole and in id order, so "observed in some retained epoch" is exactly
+// "last-seen epoch retained": expiring an epoch deactivates the keys whose
+// last-seen epoch it still is.  All classifier-facing state — per-community
+// on/off unique-path counts, the ASN-on-path universe, the alpha dirty set
+// — is maintained by refcounts on those activations and deactivations.
+// A window of UINT32_MAX epochs never expires anything: `bgpintent serve`
+// runs that non-expiring window, the paper's days-of-data sweep fed one
+// observation at a time.  Reclassification runs only
 // over dirty alphas (communities whose cluster counts changed, or whose
 // never-on-path exclusion flipped), through core::label_alpha_counts: the
 // one §5.2 rule, exclusions included, that batch core::classify() runs.
@@ -75,7 +79,10 @@ struct LabelChange {
 struct WindowState {
   struct EpochState {
     std::uint64_t id = 0;
-    /// (path << 32 | community wire) -> occurrences, ascending by key.
+    /// The (path << 32 | community wire) keys last seen in this epoch,
+    /// ascending.  Each key is paired with 1: the pair shape dates from
+    /// per-epoch occurrence counts and is kept for existing readers of
+    /// WindowState; no count is tracked or persisted.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> tuples;
 
     friend bool operator==(const EpochState&, const EpochState&) = default;
@@ -164,15 +171,19 @@ class WindowClassifier {
   // --- Persistence (stream/checkpoint.hpp, docs/STREAMING.md §6) ---
 
   /// Canonical image of this window.  Pure; safe to call at any point.
-  [[nodiscard]] WindowState export_state() const;
+  /// Without `with_paths`, WindowState::paths stays empty: the state image
+  /// writer persists paths() as columns instead of materialized rows.
+  [[nodiscard]] WindowState export_state(bool with_paths = true) const;
 
   /// Replaces this window's contents with `state`, rebuilding every
-  /// derived structure (refcounts, beta counters, path table) from the
-  /// ring.  The classifier must have been constructed with the same
-  /// WindowConfig and OrgMap the state was exported under — neither is
-  /// part of the state.  Throws std::runtime_error on internally
-  /// inconsistent state (a ring tuple naming an unknown path).
-  void restore_state(const WindowState& state);
+  /// derived structure (refcounts, beta counters) from the ring.  The
+  /// path table is `state.paths` re-interned in order or, when those are
+  /// empty, `paths` (a state image's columns, PathIds as exported).  The
+  /// classifier must have been constructed with the same WindowConfig and
+  /// OrgMap the state was exported under — neither is part of the state.
+  /// Throws std::runtime_error on internally inconsistent state (a ring
+  /// key naming an unknown path, or listed in two epochs).
+  void restore_state(const WindowState& state, bgp::PathTable paths = {});
 
   // --- Introspection / counters ---
 
@@ -196,7 +207,7 @@ class WindowClassifier {
   }
   /// Live deduplicated (path, community) observations.
   [[nodiscard]] std::size_t live_tuple_count() const noexcept {
-    return window_refs_.size();
+    return last_seen_.size();
   }
   [[nodiscard]] std::size_t dirty_alpha_count() const noexcept {
     return dirty_.size();
@@ -217,14 +228,17 @@ class WindowClassifier {
     std::uint32_t on = 0;
     std::uint32_t off = 0;
   };
+  /// (beta, intent), ascending by beta.
+  using Labels = std::vector<std::pair<std::uint16_t, Intent>>;
   struct AlphaCounts {
     std::unordered_map<std::uint16_t, OnOff> betas;
-    std::unordered_map<std::uint16_t, Intent> labels;
+    Labels labels;  ///< the cached labels
   };
   struct Epoch {
     std::uint64_t id = 0;
-    /// packed (path << 32 | community wire) -> occurrences in this epoch
-    std::unordered_map<std::uint64_t, std::uint32_t> tuples;
+    /// Keys whose last-seen epoch became this one, in arrival order; a key
+    /// seen again later stays listed here but no longer belongs to it.
+    std::vector<std::uint64_t> keys;
   };
 
   /// Moves the window clock to `timestamp`'s epoch, expiring old epochs.
@@ -259,7 +273,8 @@ class WindowClassifier {
   std::unordered_map<std::uint64_t, bool> on_path_memo_;
 
   std::deque<Epoch> ring_;
-  std::unordered_map<std::uint64_t, std::uint32_t> window_refs_;
+  /// Live key -> the id of the last epoch it was seen in.
+  std::unordered_map<std::uint64_t, std::uint64_t> last_seen_;
   std::unordered_map<bgp::PathId, std::uint32_t> path_refs_;
   std::unordered_map<bgp::Asn, std::uint32_t> asn_refs_;
   std::unordered_map<std::uint16_t, AlphaCounts> alphas_;

@@ -1,7 +1,7 @@
-// Stream-specific field codecs shared by the journal record codec
-// (journal.cpp) and the checkpoint codec (checkpoint.cpp), on top of the
-// util::put / util::ByteReader integer codec.  Internal to src/stream —
-// the public surfaces are journal.hpp and checkpoint.hpp.
+// Stream-specific field codecs of the journal record codec (journal.cpp)
+// and recovery's config check, on top of the util::put / util::ByteReader
+// integer codec.  Internal to src/stream — the public surface is
+// journal.hpp.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +17,12 @@ namespace bgpintent::stream::wire {
 using util::put;
 using util::put_double;
 
-/// Reader over one journal or checkpoint payload; constructed with the
+/// Reader over one journal record payload; constructed with the
 /// subject "journal", so failures read "truncated journal payload".
 using Cursor = util::ByteReader<JournalError>;
 
 /// AS path as segments: count u32, then per segment type u8 + ASN count
-/// u32 + ASNs u32 each.  Shared by kAnnounce records and checkpoints.
+/// u32 + ASNs u32 each (kAnnounce records).
 inline void put_aspath(std::vector<std::uint8_t>& out, const bgp::AsPath& path) {
   const auto& segments = path.segments();
   put<std::uint32_t>(out, static_cast<std::uint32_t>(segments.size()));

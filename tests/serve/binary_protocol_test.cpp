@@ -1,8 +1,9 @@
 // Binary protocol (serve/binary.hpp): wire primitives, framing, the
 // negotiated fast path through Client, and — the part that earns its
 // keep — corruption fuzzing with mrt::corrupt_spans over the frame
-// layout.  A server facing a hostile or damaged byte stream must answer
-// a framed error or close; it must never hang, over-read, or die.
+// layout and over the line protocol's lines.  A server facing a hostile
+// or damaged byte stream must answer a framed error (or an ERR line) or
+// close; it must never hang, over-read, or die.
 #include "serve/binary.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,8 @@
 #include "mrt/fault.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "support/serve_engine.hpp"
+#include "util/strings.hpp"
 
 namespace bgpintent::serve {
 namespace {
@@ -48,12 +51,12 @@ ServerConfig loopback_config() {
   return cfg;
 }
 
-core::IncrementalClassifier primed_classifier() {
-  core::IncrementalClassifier classifier;
-  classifier.ingest(entry(61, {61, 100, 201}, {bgp::Community(100, 20000)}));
-  classifier.ingest(entry(62, {62, 100, 202}, {bgp::Community(100, 20000)}));
-  classifier.ingest(entry(61, {61, 100, 203}, {bgp::Community(100, 1)}));
-  return classifier;
+std::unique_ptr<stream::StreamEngine> primed_engine() {
+  const std::vector<bgp::RibEntry> entries = {
+      entry(61, {61, 100, 201}, {bgp::Community(100, 20000)}),
+      entry(62, {62, 100, 202}, {bgp::Community(100, 20000)}),
+      entry(61, {61, 100, 203}, {bgp::Community(100, 1)})};
+  return test_support::serve_engine(entries);
 }
 
 // --- wire primitives ----------------------------------------------------
@@ -152,7 +155,8 @@ TEST(BinaryWire, StatsBodyRoundTrip) {
 // --- negotiated fast path through Client --------------------------------
 
 TEST(BinaryServer, NegotiatedLabelMatchesLineProtocol) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   auto line = Client::connect("127.0.0.1", server.port());
@@ -173,7 +177,8 @@ TEST(BinaryServer, NegotiatedLabelMatchesLineProtocol) {
 }
 
 TEST(BinaryServer, BatchLabelMatchesIndividualQueries) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   auto client = Client::connect("127.0.0.1", server.port());
@@ -200,7 +205,8 @@ TEST(BinaryServer, BatchLabelMatchesIndividualQueries) {
 }
 
 TEST(BinaryServer, LineModeBatchHelperDegradesToLoop) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   auto client = Client::connect("127.0.0.1", server.port());
@@ -329,7 +335,8 @@ void expect_server_alive(Server& server) {
 }
 
 TEST(BinaryServer, VersionSkewGetsFramedErrorThenClose) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   RawConn conn(server.port());
@@ -352,7 +359,8 @@ TEST(BinaryServer, VersionSkewGetsFramedErrorThenClose) {
 }
 
 TEST(BinaryServer, BadMagicGetsFramedErrorThenClose) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   RawConn conn(server.port());
@@ -378,7 +386,8 @@ TEST(BinaryServer, BadMagicGetsFramedErrorThenClose) {
 }
 
 TEST(BinaryServer, LengthLieAboveCapGetsOversizedThenClose) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   RawConn conn(server.port());
@@ -402,7 +411,8 @@ TEST(BinaryServer, LengthLieAboveCapGetsOversizedThenClose) {
 }
 
 TEST(BinaryServer, TruncatedFrameThenEofClosesCleanly) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   RawConn conn(server.port());
@@ -426,7 +436,8 @@ TEST(BinaryServer, TruncatedFrameThenEofClosesCleanly) {
 }
 
 TEST(BinaryServer, TruncatedHelloThenEofClosesCleanly) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   RawConn conn(server.port());
@@ -444,7 +455,8 @@ TEST(BinaryServer, TruncatedHelloThenEofClosesCleanly) {
 }
 
 TEST(BinaryServer, UnknownOpcodeGetsBadOpcode) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   RawConn conn(server.port());
@@ -469,7 +481,8 @@ TEST(BinaryServer, UnknownOpcodeGetsBadOpcode) {
 }
 
 TEST(BinaryServer, MismatchedBodyGetsMalformed) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   RawConn conn(server.port());
@@ -538,7 +551,8 @@ RequestImage build_request_image() {
 }
 
 TEST(BinaryFuzz, CorruptedFrameStreamsNeverWedgeTheServer) {
-  Server server(primed_classifier(), loopback_config());
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   const RequestImage image = build_request_image();
@@ -570,6 +584,86 @@ TEST(BinaryFuzz, CorruptedFrameStreamsNeverWedgeTheServer) {
   expect_server_alive(server);
   const auto stats = server.stats();
   EXPECT_GE(stats.binary_connections, 16u);
+  server.request_stop();
+  server.wait();
+}
+
+// --- line protocol fuzz -------------------------------------------------
+//
+// The same sweep over the line protocol, now that every daemon takes
+// SUBSCRIBE: valid LABEL, INGEST (AS paths and community lists), TOTALS
+// and SUBSCRIBE lines, damaged by mrt::corrupt_spans.  Lines carry no
+// length field, so a length lie stomps the line's first word.  Every
+// reply line must be an answer (OK/ERR) or a push (EVENT, DATA, END);
+// the server must close once we stop sending and keep serving STATS.
+
+inline constexpr mrt::FrameLayout kLineLayout{0, 0, false};
+
+RequestImage build_line_image() {
+  RequestImage image;
+  std::string arena;
+  for (const char* line : {
+           "LABEL 100:20000\n",
+           "INGEST 61,100,201 100:20000 63,300,400 300:7,300:9\n",
+           "TOTALS\n",
+           "INGEST 64,100,205 100:1,100:2,100:20000\n",
+           "LABEL 300:7\n",
+           "SUBSCRIBE snapshot from=1\n",
+       }) {
+    const std::size_t before = arena.size();
+    arena += line;
+    image.spans.push_back({before, arena.size() - before});
+  }
+  image.bytes.assign(arena.begin(), arena.end());
+  return image;
+}
+
+TEST(LineFuzz, CorruptedLineStreamsNeverWedgeTheServer) {
+  const auto engine = primed_engine();
+  Server server(*engine, loopback_config());
+  server.start();
+
+  const RequestImage image = build_line_image();
+  std::size_t connections = 0;
+  for (const mrt::CorruptionKind kind : mrt::kAllCorruptionKinds) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto corrupted =
+          mrt::corrupt_spans(image.bytes, image.spans, kLineLayout, kind, seed);
+      SCOPED_TRACE(corrupted.description);
+
+      RawConn conn(server.port());
+      ASSERT_TRUE(conn.ok());
+      conn.send_bytes(corrupted.bytes);
+      conn.shutdown_write();
+      ++connections;
+
+      bool closed = false;
+      const std::string answer = conn.drain(closed);
+      EXPECT_TRUE(closed);
+      if (!corrupted.bytes.empty() && corrupted.bytes[0] == bin::kMagic[0]) {
+        // The damage made it a binary connection: framed answers only.
+        EXPECT_TRUE(parse_all_frames(answer));
+        continue;
+      }
+      std::size_t start = 0;
+      for (std::size_t end; (end = answer.find('\n', start)) !=
+                            std::string::npos;
+           start = end + 1) {
+        const std::string line = answer.substr(start, end - start);
+        EXPECT_TRUE(util::starts_with(line, "OK ") ||
+                    util::starts_with(line, "ERR ") ||
+                    util::starts_with(line, "EVENT ") ||
+                    util::starts_with(line, "DATA ") ||
+                    util::starts_with(line, "END snapshot "))
+            << line;
+      }
+    }
+  }
+
+  // After the hostile connections a fresh one still gets STATS.
+  auto probe = Client::connect("127.0.0.1", server.port());
+  EXPECT_TRUE(util::starts_with(probe.request("STATS"), "OK "));
+  EXPECT_GE(server.stats().connections_accepted, connections);
   server.request_stop();
   server.wait();
 }

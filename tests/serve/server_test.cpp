@@ -20,14 +20,15 @@
 #include "routing/scenario.hpp"
 #include "serve/client.hpp"
 #include "serve/snapshot.hpp"
+#include "support/serve_engine.hpp"
 #include "support/temp_path.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::serve {
 namespace {
 
-using core::IncrementalClassifier;
 using dict::Intent;
+using test_support::serve_engine;
 
 bgp::RibEntry entry(std::uint32_t vp, std::vector<bgp::Asn> path,
                     std::vector<bgp::Community> communities) {
@@ -64,18 +65,17 @@ TEST(Server, SnapshotServerMatchesBatchPipeline) {
   batch.set_org_map(&scenario.topology().orgs);
   const auto batch_result = batch.run(entries);
 
-  // Prime a classifier, persist it, and start the server from the loaded
-  // snapshot — the restart must be invisible to queries.
-  IncrementalClassifier primed;
-  primed.set_org_map(&scenario.topology().orgs);
-  primed.ingest(entries);
+  // Prime serve's engine, persist it, and start the server from the
+  // loaded snapshot — the restart must be invisible to queries.
+  const auto primed = serve_engine(entries, &scenario.topology().orgs);
   const std::string snap = test_support::unique_temp_path("snap.bin");
-  save_snapshot(primed, snap);
-  auto loaded = load_snapshot(snap);
-  loaded.set_org_map(&scenario.topology().orgs);
+  save_snapshot(*primed, snap);
+  stream::StateImage image = load_snapshot(snap);
   std::remove(snap.c_str());
+  stream::StreamEngine loaded(image.config, &scenario.topology().orgs);
+  loaded.restore_state(image.state, std::move(image.paths));
 
-  Server server(std::move(loaded), loopback_config());
+  Server server(loaded, loopback_config());
   server.start();
   ASSERT_NE(server.port(), 0);
   auto client = Client::connect("127.0.0.1", server.port());
@@ -99,8 +99,9 @@ TEST(Server, SnapshotServerMatchesBatchPipeline) {
 }
 
 TEST(Server, IngestViaProtocolMatchesDirectIngest) {
-  IncrementalClassifier reference;
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto reference = serve_engine();
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
@@ -112,11 +113,11 @@ TEST(Server, IngestViaProtocolMatchesDirectIngest) {
       entry(61, {61, 64512, 201}, {bgp::Community(64512, 9)}),
   };
   for (const auto& e : feed) {
-    reference.ingest(e);
+    reference->announce(e);
     client.ingest(e.route.path, e.route.communities);
   }
 
-  const auto want = reference.totals();
+  const auto want = reference->totals();
   const auto got = client.totals();
   EXPECT_EQ(got.communities, want.communities);
   EXPECT_EQ(got.information, want.information);
@@ -125,7 +126,7 @@ TEST(Server, IngestViaProtocolMatchesDirectIngest) {
   std::size_t classified = 0;
   for (const auto& e : feed) {
     for (const bgp::Community c : e.route.communities) {
-      const Intent want_label = reference.label_of(c);
+      const Intent want_label = reference->label_of(c);
       EXPECT_EQ(client.label(c), want_label) << c.to_string();
       if (want_label != Intent::kUnclassified) ++classified;
     }
@@ -141,12 +142,13 @@ TEST(Server, IngestViaProtocolMatchesDirectIngest) {
 // and the same evidence again answers OK without a new epoch.
 TEST(Server, IngestThatChangesNoLabelPublishesNoEpoch) {
   const bgp::Community community(100, 20000);
-  IncrementalClassifier reference;
-  reference.ingest(entry(61, {61, 100, 201}, {community}));
-  const Intent want = reference.label_of(community);
+  const std::vector<bgp::RibEntry> evidence = {
+      entry(61, {61, 100, 201}, {community})};
+  const Intent want = serve_engine(evidence)->label_of(community);
   ASSERT_NE(want, Intent::kUnclassified);
 
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
   const auto label_epochs = [&client] {
@@ -170,11 +172,10 @@ TEST(Server, IngestThatChangesNoLabelPublishesNoEpoch) {
   server.wait();
 }
 
-// Regression: a server started with preloaded-but-dirty state publishes
-// its initial RCU epoch from the *cached* labels and settles lazily.  A
-// TOTALS arriving before the first LABEL used to let classifier_.totals()
-// consume the dirty set privately — the settle-on-first-query path then
-// found nothing dirty, published no epoch, and every later LABEL answered
+// Regression: a server handed an engine with unsettled evidence must
+// answer the settled labels however the first requests are ordered.  A
+// TOTALS arriving before the first LABEL once consumed the dirty set
+// privately, so no epoch was published and every later LABEL answered
 // from the stale initial epoch forever.
 TEST(Server, TotalsBeforeFirstLabelStillPublishesSettledEpoch) {
   const std::vector<bgp::RibEntry> feed{
@@ -184,20 +185,17 @@ TEST(Server, TotalsBeforeFirstLabelStillPublishesSettledEpoch) {
       entry(71, {71, 999, 201}, {bgp::Community(100, 2569)}),
       entry(61, {61, 64512, 201}, {bgp::Community(64512, 9)}),
   };
-  IncrementalClassifier reference;
-  IncrementalClassifier primed;
-  for (const auto& e : feed) {
-    reference.ingest(e);
-    primed.ingest(e);
-  }
-  ASSERT_GT(primed.dirty_alpha_count(), 0u);
+  const auto reference = serve_engine(feed);
+  stream::StreamEngine primed(test_support::serve_window());
+  for (const auto& e : feed) primed.announce(e);
+  ASSERT_TRUE(primed.has_pending_dirty());
 
-  Server server(std::move(primed), loopback_config());
+  Server server(primed, loopback_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
   // First command is TOTALS: it must settle through the epoch publisher.
-  const auto want = reference.totals();
+  const auto want = reference->totals();
   const auto got = client.totals();
   EXPECT_EQ(got.communities, want.communities);
   EXPECT_EQ(got.information, want.information);
@@ -209,7 +207,7 @@ TEST(Server, TotalsBeforeFirstLabelStillPublishesSettledEpoch) {
   std::size_t classified = 0;
   for (const auto c : {bgp::Community(100, 20000), bgp::Community(100, 2569),
                        bgp::Community(64512, 9)}) {
-    const Intent want_label = reference.label_of(c);
+    const Intent want_label = reference->label_of(c);
     EXPECT_EQ(client.label(c), want_label) << c.to_string();
     if (want_label != Intent::kUnclassified) ++classified;
   }
@@ -226,11 +224,12 @@ TEST(Server, TotalsBeforeFirstLabelStillPublishesSettledEpoch) {
 // once the peer starts draining, every pipelined request must still be
 // answered: pause and resume are lossless across many cycles.
 TEST(Server, PipelinedRequestsSurviveBacklogPauseAndResume) {
-  IncrementalClassifier classifier;
-  classifier.ingest(entry(61, {61, 100, 201}, {bgp::Community(100, 1)}));
+  const std::vector<bgp::RibEntry> rib = {
+      entry(61, {61, 100, 201}, {bgp::Community(100, 1)})};
+  const auto engine = serve_engine(rib);
   ServerConfig cfg = loopback_config();
   cfg.max_response_backlog_bytes = 2048;  // force many pause/resume cycles
-  Server server(std::move(classifier), cfg);
+  Server server(*engine, cfg);
   server.start();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
@@ -293,9 +292,10 @@ TEST(Server, PipelinedRequestsSurviveBacklogPauseAndResume) {
 }
 
 TEST(Server, StatsReportCountersAndLatency) {
-  IncrementalClassifier classifier;
-  classifier.ingest(entry(61, {61, 100, 201}, {bgp::Community(100, 1)}));
-  Server server(std::move(classifier), loopback_config());
+  const std::vector<bgp::RibEntry> rib = {
+      entry(61, {61, 100, 201}, {bgp::Community(100, 1)})};
+  const auto engine = serve_engine(rib);
+  Server server(*engine, loopback_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
@@ -323,7 +323,8 @@ TEST(Server, StatsReportCountersAndLatency) {
 }
 
 TEST(Server, IngestBatchSkipsAndCountsMalformedPairs) {
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
@@ -347,17 +348,20 @@ TEST(Server, IngestBatchSkipsAndCountsMalformedPairs) {
 }
 
 TEST(Server, SnapshotCommandWritesLoadableFile) {
-  IncrementalClassifier classifier;
-  classifier.ingest(entry(61, {61, 100, 201}, {bgp::Community(100, 20000)}));
-  const auto want_state = classifier.export_state();
+  const std::vector<bgp::RibEntry> rib = {
+      entry(61, {61, 100, 201}, {bgp::Community(100, 20000)})};
+  const auto engine = serve_engine(rib);
+  const auto want_state = engine->export_state();
 
-  Server server(std::move(classifier), loopback_config());
+  Server server(*engine, loopback_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
   const std::string path = test_support::unique_temp_path("snap.bin");
   client.snapshot(path);
-  const auto restored = load_snapshot(path);
+  stream::StateImage image = load_snapshot(path);
+  stream::StreamEngine restored(image.config);
+  restored.restore_state(image.state, std::move(image.paths));
   EXPECT_EQ(restored.export_state(), want_state);
   std::remove(path.c_str());
 
@@ -370,7 +374,8 @@ TEST(Server, SnapshotCommandWritesLoadableFile) {
 }
 
 TEST(Server, MalformedCommandsGetErrResponses) {
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
@@ -396,7 +401,8 @@ TEST(Server, MalformedCommandsGetErrResponses) {
 }
 
 TEST(Server, OverlongLineIsRejected) {
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
@@ -417,7 +423,8 @@ TEST(Server, OverlongLineIsRejected) {
 TEST(Server, IdleConnectionTimesOut) {
   auto cfg = loopback_config();
   cfg.read_timeout_ms = 200;
-  Server server(IncrementalClassifier(), cfg);
+  const auto engine = serve_engine();
+  Server server(*engine, cfg);
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
@@ -436,7 +443,8 @@ TEST(Server, IdleConnectionTimesOut) {
 }
 
 TEST(Server, GracefulDrainStopsAccepting) {
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
   const std::uint16_t port = server.port();
   {
@@ -452,16 +460,19 @@ TEST(Server, FinalSnapshotWrittenOnDrain) {
   const std::string path = test_support::unique_temp_path("snap.bin");
   auto cfg = loopback_config();
   cfg.snapshot_path = path;
-  IncrementalClassifier classifier;
-  classifier.ingest(entry(61, {61, 100, 201}, {bgp::Community(100, 20000)}));
-  const auto want_state = classifier.export_state();
+  const std::vector<bgp::RibEntry> rib = {
+      entry(61, {61, 100, 201}, {bgp::Community(100, 20000)})};
+  const auto engine = serve_engine(rib);
+  const auto want_state = engine->export_state();
 
-  Server server(std::move(classifier), cfg);
+  Server server(*engine, cfg);
   server.start();
   server.request_stop();
   server.wait();
 
-  const auto restored = load_snapshot(path);
+  stream::StateImage image = load_snapshot(path);
+  stream::StreamEngine restored(image.config);
+  restored.restore_state(image.state, std::move(image.paths));
   EXPECT_EQ(restored.export_state(), want_state);
   std::remove(path.c_str());
 }
@@ -472,7 +483,8 @@ TEST(Server, IdleLoopBlocksWithoutConnections) {
   // spun a 100 ms poll slice per worker; this asserts the epoll rewrite
   // stays parked.  A handful of wakeups is tolerated (startup, the
   // stop eventfd), a polling loop would show hundreds.
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -495,7 +507,8 @@ TEST(Server, ConcurrentLabelAndIngestSeeOnlyWholeEpochs) {
   // value outside the intent enum, and the per-epoch batch answer must be
   // internally consistent.  Run under TSan (ctest preset tsan) this also
   // proves the swap itself is race-free.
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
 
   std::atomic<bool> done{false};
@@ -551,7 +564,8 @@ TEST(ClientRetry, TransientErrnoClassification) {
 }
 
 TEST(ClientRetry, SucceedsAgainstRunningServer) {
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
   auto client = Client::connect_with_retry("127.0.0.1", server.port());
   EXPECT_TRUE(util::starts_with(client.request("STATS"), "OK "));
@@ -562,7 +576,8 @@ TEST(ClientRetry, SucceedsAgainstRunningServer) {
 TEST(ClientRetry, BacksOffThenRethrowsAgainstClosedPort) {
   // A port that just stopped listening: connections are refused, which is
   // transient — the retry loop must spend its budget before rethrowing.
-  Server server(IncrementalClassifier(), loopback_config());
+  const auto engine = serve_engine();
+  Server server(*engine, loopback_config());
   server.start();
   const std::uint16_t port = server.port();
   server.request_stop();

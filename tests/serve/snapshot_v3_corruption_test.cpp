@@ -1,10 +1,10 @@
-// Columnar snapshot corruption fuzz sweep (docs/ROBUSTNESS.md): seeded
+// State image corruption fuzz sweep (docs/ROBUSTNESS.md): seeded
 // bit-flip / truncation / splice / length-lie damage aimed at every named
-// region of a columnar image — each column segment, the segment table, and
-// the footer.  The contract under test: every corruption is rejected with
-// a SnapshotError (never a misparse, never a crash), by both the heap
-// decoder and the mmap reader, and a bit-flip inside a column segment is
-// blamed on that segment by name.
+// region of an image — each segment, the segment table, and the footer.
+// The contract under test: every corruption is rejected with a
+// SnapshotError (never a misparse, never a crash) by the one reader, both
+// when it decodes onto the heap and when it maps the file, and a bit-flip
+// inside a segment is blamed on that segment by name.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,15 +15,16 @@
 #include "bgp/community.hpp"
 #include "mrt/fault.hpp"
 #include "serve/snapshot.hpp"
+#include "support/serve_engine.hpp"
 #include "support/temp_path.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::serve {
 namespace {
 
-using core::IncrementalClassifier;
+using stream::ImageRegion;
 
-/// Snapshot regions are flat byte ranges with no per-record framing: a
+/// Image regions are flat byte ranges with no per-record framing: a
 /// "length lie" degenerates into stomping the region's first word, which
 /// the checksums must still catch.
 constexpr mrt::FrameLayout kFlatRegionLayout{0, 0, false};
@@ -39,27 +40,26 @@ bgp::RibEntry entry(std::uint32_t vp, std::vector<bgp::Asn> path,
   return e;
 }
 
-/// One populated v3 image, built once: a mix of settled labels, dirty
-/// alphas, and repeated paths so every column has content to damage.
+/// One populated image, built once: settled labels, dirty alphas, buffered
+/// events and repeated paths, so every segment has content to damage.
 const std::vector<std::uint8_t>& base_image() {
   static const std::vector<std::uint8_t> bytes = [] {
-    IncrementalClassifier classifier;
+    stream::StreamEngine engine(test_support::serve_window());
     for (std::uint32_t vp = 61; vp < 66; ++vp)
-      classifier.ingest(
-          entry(vp, {vp, 100, 201}, {bgp::Community(100, 20000)}));
+      engine.announce(entry(vp, {vp, 100, 201}, {bgp::Community(100, 20000)}));
     for (std::uint32_t vp = 70; vp < 90; ++vp)
-      classifier.ingest(entry(vp, {vp, 999, 201}, {bgp::Community(100, 2569),
-                                                   bgp::Community(999, 30)}));
-    classifier.ingest(entry(61, {61, 64512, 201}, {bgp::Community(64512, 7)}));
-    (void)classifier.label_of(bgp::Community(100, 20000));
-    return encode_snapshot(classifier);
+      engine.announce(entry(vp, {vp, 999, 201}, {bgp::Community(100, 2569),
+                                                 bgp::Community(999, 30)}));
+    (void)engine.label_of(bgp::Community(100, 20000));
+    engine.announce(entry(61, {61, 64512, 201}, {bgp::Community(64512, 7)}));
+    return engine.encode_image();
   }();
   return bytes;
 }
 
-const std::vector<SnapshotRegion>& base_regions() {
-  static const std::vector<SnapshotRegion> regions =
-      snapshot_regions(base_image());
+const std::vector<ImageRegion>& base_regions() {
+  static const std::vector<ImageRegion> regions =
+      stream::image_regions(base_image());
   return regions;
 }
 
@@ -69,7 +69,7 @@ std::string expect_both_readers_reject(const std::vector<std::uint8_t>& bytes,
                                        const std::string& label) {
   std::string message;
   try {
-    (void)decode_snapshot(bytes);
+    (void)stream::decode_image(bytes);
     ADD_FAILURE() << label << ": heap decode accepted a corrupt image";
   } catch (const SnapshotError& error) {
     message = error.what();
@@ -93,13 +93,13 @@ std::string expect_both_readers_reject(const std::vector<std::uint8_t>& bytes,
 }
 
 TEST(SnapshotV3Corruption, BaseImageIsValidAndFullyRegioned) {
-  EXPECT_NO_THROW((void)decode_snapshot(base_image()));
-  ASSERT_EQ(base_regions().size(), 28u);
+  EXPECT_NO_THROW((void)stream::decode_image(base_image()));
+  ASSERT_EQ(base_regions().size(), 17u);
   std::size_t damageable = 0;
   for (const auto& region : base_regions())
     if (region.length >= 2) ++damageable;
-  // Nearly every column must be populated, or the sweep proves nothing.
-  EXPECT_GE(damageable, 26u);
+  // Every region must be populated, or the sweep proves nothing.
+  EXPECT_EQ(damageable, 17u);
 }
 
 // The full sweep: every region x every corruption kind x several seeds.
@@ -124,9 +124,8 @@ TEST(SnapshotV3Corruption, EveryRegionRejectsEveryDamageKind) {
       }
     }
   }
-  // 28 regions x 4 kinds x 3 seeds, minus empty columns and the rare
-  // no-op length lie.
-  EXPECT_GE(applied, 28u * 4u * 3u - 40u);
+  // 17 regions x 4 kinds x 3 seeds, minus the rare no-op length lie.
+  EXPECT_GE(applied, 17u * 4u * 3u - 12u);
 }
 
 // A bit flip inside a column segment must be blamed on that segment by

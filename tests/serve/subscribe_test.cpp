@@ -1,5 +1,5 @@
-// SUBSCRIBE protocol tests over a stream-mode server: the mode split
-// (classic servers ERR, stream servers lose SNAPSHOT), the snapshot
+// SUBSCRIBE protocol tests: every daemon answers every verb (a `serve`
+// engine pushes events, a `stream` engine writes snapshots), the snapshot
 // block, live EVENT push after an INGEST, and from= resumption with the
 // automatic snapshot resync — docs/STREAMING.md end to end over a real
 // socket.
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <span>
 #include <string>
@@ -22,10 +23,12 @@
 #include <thread>
 #include <vector>
 
-#include "core/incremental.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "serve/snapshot.hpp"
 #include "stream/engine.hpp"
+#include "support/serve_engine.hpp"
+#include "support/temp_path.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::serve {
@@ -67,18 +70,38 @@ std::vector<std::string> read_snapshot_block(Client& client) {
   }
 }
 
-TEST(Subscribe, ClassicServerAnswersErr) {
-  Server server(core::IncrementalClassifier(), loopback_config());
+// A daemon built like `bgpintent serve` — a primed non-expiring window —
+// takes SUBSCRIBE, and an INGEST that flips a label pushes its EVENT.
+TEST(Subscribe, ServeDaemonAnswersSubscribe) {
+  const std::vector<bgp::RibEntry> rib = {
+      entry(61, {61, 100, 201}, {bgp::Community(100, 1)})};
+  const auto engine = test_support::serve_engine(rib);
+  Server server(*engine, loopback_config());
   server.start();
-  auto client = Client::connect("127.0.0.1", server.port());
-  EXPECT_TRUE(util::starts_with(client.request("SUBSCRIBE"), "ERR "));
-  // The connection stays request/response after the rejection.
-  EXPECT_TRUE(util::starts_with(client.request("STATS"), "OK "));
+  auto subscriber = Client::connect("127.0.0.1", server.port());
+  subscriber.send_line("SUBSCRIBE");
+  const auto ok = subscriber.read_line(kPushTimeoutMs);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(*ok, "OK subscribed seq=1");
+
+  auto producer = Client::connect("127.0.0.1", server.port());
+  EXPECT_EQ(producer.request("INGEST 62,300,400 300:7"),
+            "OK ingested=1 errors=0 entries=2");
+  const auto event = subscriber.read_line(kPushTimeoutMs);
+  ASSERT_TRUE(event) << "no EVENT pushed";
+  EXPECT_TRUE(util::starts_with(*event, "EVENT seq=2 community=300:7 "
+                                        "old=unclassified new=information"))
+      << *event;
+  // The producer connection stays request/response.
+  EXPECT_TRUE(util::starts_with(producer.request("STATS"), "OK "));
+
   server.request_stop();
   server.wait();
 }
 
-TEST(Subscribe, StreamServerRejectsSnapshotCommandButServesQueries) {
+// A sliding-window engine (`bgpintent stream --listen`) answers SNAPSHOT
+// with the same state image a `serve` daemon writes.
+TEST(Subscribe, StreamServerWritesSnapshotsAndServesQueries) {
   stream::StreamEngine engine;
   engine.announce(entry(61, {61, 100, 201}, {bgp::Community(100, 1)}), 10);
   engine.reclassify();
@@ -86,12 +109,20 @@ TEST(Subscribe, StreamServerRejectsSnapshotCommandButServesQueries) {
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
-  EXPECT_TRUE(util::starts_with(client.request("SNAPSHOT /tmp/x"), "ERR "));
+  const std::string path = test_support::unique_temp_path("stream.snap");
+  EXPECT_EQ(client.request("SNAPSHOT " + path), "OK saved=" + path);
+  const stream::StateImage image = load_snapshot(path);
+  EXPECT_EQ(image.config.window_epochs, engine.config().window_epochs);
+  stream::StreamEngine restored(image.config);
+  restored.restore_state(image.state, image.paths);
+  EXPECT_EQ(restored.export_state(), engine.export_state());
+  std::remove(path.c_str());
+
   EXPECT_EQ(client.label(bgp::Community(100, 1)), dict::Intent::kInformation);
   const auto totals = client.totals();
   EXPECT_EQ(totals.information, 1u);
 
-  // STATS carries the stream-mode counters.
+  // STATS carries the window counters.
   const auto pairs = parse_ok_response(client.request("STATS"));
   ASSERT_TRUE(pairs);
   for (const char* key : {"updates_ok", "updates_errors", "window_epochs",
@@ -244,9 +275,10 @@ TEST(Subscribe, LaggedSubscriberIsDroppedAndCounted) {
   server.wait();
 }
 
-// A stream-mode server whose published label epoch falls off the engine's
-// event ring — the engine runs more than kMaxBufferedEvents events past
-// it with no LABEL in between — resyncs the epoch from a full snapshot:
+// A sliding-window server whose published label epoch falls off the
+// engine's event ring — the engine runs more than kMaxBufferedEvents
+// events past it with no LABEL in between — resyncs the epoch from a
+// full snapshot:
 // afterwards every LABEL equals engine.label_snapshot(), including a
 // label the epoch held that the window has since expired.
 TEST(StreamServer, EpochResyncsFromSnapshotAfterRingGap) {

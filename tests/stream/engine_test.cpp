@@ -1,18 +1,24 @@
 // StreamEngine unit tests: event sequencing, delta resumption (including
 // the trimmed-backlog gap that forces a snapshot resync), protocol-driven
-// announcements, and decode counter accounting.
+// announcements, RIB priming, and decode counter accounting.
 #include "stream/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "bgp/route.hpp"
+#include "core/pipeline.hpp"
 #include "mrt/fault.hpp"
 #include "mrt/mrt_file.hpp"
 #include "mrt/source.hpp"
+#include "routing/scenario.hpp"
+#include "stream/journal.hpp"
 #include "stream/synth.hpp"
+#include "support/temp_path.hpp"
 
 namespace bgpintent::stream {
 namespace {
@@ -124,6 +130,111 @@ TEST(StreamEngine, TrimmedBacklogSignalsGapForStaleResume) {
   const auto fresh = engine.events_since(as_of, 16, gap);
   EXPECT_FALSE(gap);
   EXPECT_TRUE(fresh.empty());
+}
+
+/// Past the cap the log holds exactly the newest kMaxBufferedEvents
+/// events.  Paging from just before the oldest buffered one walks every
+/// sequence number up to the newest with no gap; one step earlier is a gap.
+TEST(StreamEngine, EventLogPastTheCapKeepsTheNewestDeltaContiguous) {
+  WindowConfig cfg;
+  cfg.epoch_seconds = 1;
+  cfg.window_epochs = 1;
+  StreamEngine engine(cfg);
+  const auto a = entry(61, {61, 100, 201}, {bgp::Community(100, 1)});
+  const auto b = entry(62, {62, 300, 400}, {bgp::Community(300, 7)});
+  std::uint32_t t = 1;
+  for (std::uint64_t i = 0;
+       engine.last_seq() < StreamEngine::kMaxBufferedEvents + 5000;
+       ++i, t += 2) {
+    engine.announce((i % 2 == 0) ? a : b, t);
+    engine.reclassify();
+  }
+
+  const std::uint64_t first = engine.first_buffered_seq();
+  EXPECT_EQ(first, engine.last_seq() - StreamEngine::kMaxBufferedEvents + 1);
+  EXPECT_EQ(engine.export_state().events.size(),
+            StreamEngine::kMaxBufferedEvents);
+
+  bool gap = true;
+  std::uint64_t after = first - 1;
+  for (;;) {
+    const auto page = engine.events_since(after, 4096, gap);
+    ASSERT_FALSE(gap) << "after " << after;
+    if (page.empty()) break;
+    for (const Event& event : page) {
+      ASSERT_EQ(event.seq, after + 1);
+      after = event.seq;
+    }
+  }
+  EXPECT_EQ(after, engine.last_seq());
+
+  const auto stale = engine.events_since(first - 2, 1, gap);
+  EXPECT_TRUE(gap);
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale.front().seq, first);
+}
+
+/// serve's priming: every RIB row lands in the window, nothing classifies
+/// until the one pass the caller runs, and the result is batch's.
+TEST(StreamEngine, PrimeAppliesEveryRibRowForOnePassAtTheEnd) {
+  routing::ScenarioConfig cfg;
+  cfg.topology.seed = 47;
+  cfg.topology.tier1_count = 4;
+  cfg.topology.tier2_count = 12;
+  cfg.topology.stub_count = 40;
+  cfg.vantage_point_count = 8;
+  const auto scenario = routing::Scenario::build(cfg);
+  const auto entries = scenario.entries();
+  std::ostringstream rib;
+  mrt::MrtWriter(rib).write_rib_snapshot(entries, 0x7f000001, 1684886400);
+  const std::string bytes = rib.str();
+
+  WindowConfig non_expiring;
+  non_expiring.window_epochs = UINT32_MAX;
+  StreamEngine engine(non_expiring, &scenario.topology().orgs);
+  mrt::DecodeReport report;
+  engine.prime(mrt::BufferSource{std::vector<std::uint8_t>(bytes.begin(),
+                                                           bytes.end())},
+               {}, &report);
+  EXPECT_EQ(engine.announces(), entries.size());
+  EXPECT_EQ(engine.stats().updates_ok, report.records_ok);
+  EXPECT_EQ(engine.last_seq(), 0u);  // no pass yet
+  EXPECT_TRUE(engine.has_pending_dirty());
+
+  engine.reclassify();
+  core::Pipeline batch;
+  batch.set_org_map(&scenario.topology().orgs);
+  const auto want = batch.run(entries);
+  std::size_t compared = 0;
+  for (const auto& stats : want.observations.all()) {
+    ++compared;
+    EXPECT_EQ(engine.label_of(stats.community),
+              want.inference.label_of(stats.community))
+        << stats.community.to_string();
+  }
+  EXPECT_GT(compared, 50u);
+}
+
+/// Priming is not journaled, so replay could not reproduce it: an engine
+/// with a journal refuses it and its journal stays untouched.
+TEST(StreamEngine, PrimeRefusesAnEngineWithAJournal) {
+  const std::string dir = test_support::unique_temp_path("prime_journal");
+  JournalConfig journal;
+  journal.directory = dir;
+  StreamEngine engine;
+  engine.attach_journal(std::make_unique<JournalWriter>(journal, 0));
+  const auto appends = engine.stats().journal_appends;
+  std::ostringstream rib;
+  mrt::MrtWriter(rib).write_rib_snapshot(
+      {entry(61, {61, 100, 201}, {bgp::Community(100, 1)})}, 1, 1);
+  const std::string bytes = rib.str();
+  EXPECT_THROW(engine.prime(mrt::BufferSource{std::vector<std::uint8_t>(
+                   bytes.begin(), bytes.end())}),
+               std::logic_error);
+  EXPECT_EQ(engine.announces(), 0u);
+  EXPECT_EQ(engine.stats().journal_appends, appends);
+  engine.detach_journal();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StreamEngine, IngestFoldsDecodeCountersIntoStats) {

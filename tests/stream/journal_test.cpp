@@ -363,43 +363,41 @@ TEST(Checkpoint, SaveLoadRoundTripsEngineState) {
   engine.announce(entry, 100);
   engine.reclassify();
 
-  CheckpointData data;
-  data.config = WindowConfig{};
-  data.state = engine.export_state();
-  save_checkpoint(dir.str(), 123, data);
+  save_checkpoint(dir.str(), 123, engine.encode_image());
 
   const auto checkpoints = list_checkpoints(dir.str());
   ASSERT_EQ(checkpoints.size(), 1u);
   EXPECT_EQ(checkpoints[0].first, 123u);
 
-  const CheckpointData loaded = load_checkpoint(checkpoints[0].second);
-  EXPECT_TRUE(loaded.state == data.state);
-  EXPECT_TRUE(wire::same_window_config(loaded.config, data.config));
+  const StateImage loaded = load_checkpoint(checkpoints[0].second);
+  EXPECT_TRUE(wire::same_window_config(loaded.config, engine.config()));
+  EXPECT_TRUE(loaded.state.window.paths.empty());  // the paths are columns
+  EXPECT_EQ(loaded.paths.size(), 1u);
 
   // Restoring into a fresh engine reproduces the canonical image.
   StreamEngine restored;
-  restored.restore_state(loaded.state);
-  EXPECT_TRUE(restored.export_state() == data.state);
+  restored.restore_state(loaded.state, loaded.paths);
+  EXPECT_TRUE(restored.export_state() == engine.export_state());
   EXPECT_EQ(restored.label_of(Community(100, 1)), Intent::kInformation);
 }
 
 TEST(Checkpoint, CorruptFilesAreRefused) {
   const ScratchDir dir("ckpt_bad");
-  CheckpointData data;
-  data.state = StreamEngine().export_state();
-  save_checkpoint(dir.str(), 7, data);
+  const std::vector<std::uint8_t> image = StreamEngine().encode_image();
+  save_checkpoint(dir.str(), 7, image);
   const std::string path = checkpoint_path(dir.str(), 7);
 
-  // Flip one payload byte: checksum mismatch.
+  // Flip one byte of the first segment (meta, at the 64-byte boundary):
+  // checksum mismatch.
   {
     std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(static_cast<std::streamoff>(kCheckpointHeaderBytes + 3));
+    file.seekp(64 + 3);
     file.put('\xff');
   }
   EXPECT_THROW((void)load_checkpoint(path), JournalError);
 
   // Truncated header.
-  fs::resize_file(path, kCheckpointHeaderBytes - 4);
+  fs::resize_file(path, 12);
   EXPECT_THROW((void)load_checkpoint(path), JournalError);
 
   EXPECT_THROW((void)load_checkpoint(dir.str() + "/missing.ckpt"),
@@ -407,9 +405,7 @@ TEST(Checkpoint, CorruptFilesAreRefused) {
 
   // Every byte is validated: each single-bit flip anywhere in the file and
   // each truncation length is refused with a JournalError.
-  save_checkpoint(dir.str(), 7, data);
-  const std::vector<std::uint8_t> image = read_whole(path);
-  ASSERT_GT(image.size(), kCheckpointHeaderBytes);
+  ASSERT_GT(image.size(), 64u);
   for (std::size_t i = 0; i < image.size(); ++i)
     for (unsigned bit = 0; bit < 8; ++bit) {
       std::vector<std::uint8_t> damaged = image;
@@ -427,23 +423,38 @@ TEST(Checkpoint, CorruptFilesAreRefused) {
 
 TEST(Checkpoint, OlderVersionIsRefusedWithAVersionMessage) {
   const ScratchDir dir("ckpt_v1");
-  CheckpointData data;
-  data.state = StreamEngine().export_state();
-  save_checkpoint(dir.str(), 7, data);
-  const std::string path = checkpoint_path(dir.str(), 7);
-  std::vector<std::uint8_t> image = read_whole(path);
+  std::vector<std::uint8_t> image = StreamEngine().encode_image();
   image[8] = 1;  // u32 LE version field
+  const std::string path = checkpoint_path(dir.str(), 7);
   write_whole(path, image);
   try {
     (void)load_checkpoint(path);
-    FAIL() << "a version-1 checkpoint must be refused";
+    FAIL() << "a version-1 image must be refused";
   } catch (const JournalError& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find(util::format("version %u", kCheckpointVersion)),
+    EXPECT_NE(what.find(util::format("version %u", kImageVersion)),
               std::string::npos)
         << what;
   }
+
+  // A row-format checkpoint (format 2, the format before the state image)
+  // is refused with the same guidance and left as it is.
+  std::vector<std::uint8_t> legacy = {'B', 'G', 'P', 'I', 'J', 'C', 'K', 'P'};
+  util::put<std::uint32_t>(legacy, 2);
+  legacy.resize(64, 0);
+  write_whole(path, legacy);
+  try {
+    (void)load_checkpoint(path);
+    FAIL() << "a format-2 checkpoint must be refused";
+  } catch (const JournalError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("checkpoint format 2 is no longer supported"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("re-ingest"), std::string::npos) << what;
+  }
+  EXPECT_EQ(read_whole(path), legacy);
 }
 
 }  // namespace
