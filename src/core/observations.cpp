@@ -8,16 +8,6 @@ namespace bgpintent::core {
 
 namespace {
 
-/// True when alpha or (optionally) one of its org siblings is in the path.
-bool on_path(const bgp::PathTable& paths, bgp::PathId id, std::uint16_t alpha,
-             const topo::OrgMap* orgs, bool sibling_aware) {
-  if (paths.contains(id, alpha)) return true;
-  if (!sibling_aware || orgs == nullptr) return false;
-  for (const Asn sibling : orgs->siblings(alpha))
-    if (sibling != alpha && paths.contains(id, sibling)) return true;
-  return false;
-}
-
 /// A tuple packed into one 64-bit key: community wire value (alpha:beta)
 /// in the high half, PathId in the low half.  Sorting the packed records
 /// groups them by alpha, then beta, then path — which is the entire
@@ -250,11 +240,9 @@ std::vector<std::uint16_t> ObservationIndex::alphas() const {
 }
 
 bool ObservationIndex::alpha_on_any_path(std::uint16_t alpha) const {
-  if (asns_on_paths_.contains(alpha)) return true;
-  if (!sibling_aware_ || orgs_ == nullptr) return false;
-  for (const Asn sibling : orgs_->siblings(alpha))
-    if (asns_on_paths_.contains(sibling)) return true;
-  return false;
+  return alpha_or_sibling_seen(
+      alpha, orgs_, sibling_aware_,
+      [this](Asn asn) { return asns_on_paths_.contains(asn); });
 }
 
 }  // namespace bgpintent::core

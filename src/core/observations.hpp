@@ -90,6 +90,33 @@ struct ObservationConfig {
   bool sibling_aware = true;
 };
 
+/// True when `asn_seen(asn)` holds for alpha or, sibling-aware with an
+/// org map, for one of alpha's organisational siblings: the §5.2 on-path
+/// test over any ASN universe.  Batch and window both ask it through
+/// on_path (one path) and alpha_on_any_path (every path).  Allocates
+/// nothing.
+template <typename AsnSeen>
+[[nodiscard]] bool alpha_or_sibling_seen(std::uint16_t alpha,
+                                         const topo::OrgMap* orgs,
+                                         bool sibling_aware,
+                                         AsnSeen&& asn_seen) {
+  if (asn_seen(Asn{alpha})) return true;
+  if (!sibling_aware || orgs == nullptr) return false;
+  for (const Asn sibling : orgs->siblings(alpha))
+    if (sibling != alpha && asn_seen(sibling)) return true;
+  return false;
+}
+
+/// True when alpha (or, sibling-aware, an org sibling) is in path `id`.
+[[nodiscard]] inline bool on_path(const bgp::PathTable& paths, bgp::PathId id,
+                                  std::uint16_t alpha,
+                                  const topo::OrgMap* orgs,
+                                  bool sibling_aware) {
+  return alpha_or_sibling_seen(
+      alpha, orgs, sibling_aware,
+      [&](Asn asn) { return paths.contains(id, asn); });
+}
+
 class ObservationIndex {
  public:
   /// Builds the index from interned (path, community) tuples.  `orgs` may

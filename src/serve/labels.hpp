@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -29,98 +28,41 @@
 
 #include "bgp/community.hpp"
 #include "dict/intent.hpp"
+#include "util/flat_map.hpp"
 
 namespace bgpintent::serve {
 
-/// Flat open-addressing map from a community's 32-bit wire form to its
-/// intent: a power-of-two array of 8-byte slots probed linearly from a
-/// multiplicative hash, doubled whenever an insert would push the load
-/// past one half.  Copying it is one allocation and one contiguous copy.
-/// An empty slot is marked by an out-of-range intent byte, so every wire
-/// — 0:0 included — is a valid key.  There is no erase: a label that
-/// falls back to unclassified is stored as kUnclassified.
+/// Map from a community's 32-bit wire form to its intent: a
+/// util::FlatMap whose empty slots hold an out-of-range intent byte, so
+/// every wire — 0:0 included — is a valid key.  There is no erase: a
+/// label that falls back to unclassified is stored as kUnclassified.
 class LabelMap {
  public:
   /// The intent stored for `wire`; kUnclassified when absent.
   [[nodiscard]] dict::Intent find(std::uint32_t wire) const noexcept {
-    if (slots_.empty()) return dict::Intent::kUnclassified;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home(wire);; i = (i + 1) & mask) {
-      const Slot& slot = slots_[i];
-      if (slot.intent == kEmpty) return dict::Intent::kUnclassified;
-      if (slot.wire == wire) return slot.intent;
-    }
+    const dict::Intent* intent = map_.find(wire);
+    return intent == nullptr ? dict::Intent::kUnclassified : *intent;
   }
 
   /// Inserts or overwrites the intent of `wire`.
   void assign(std::uint32_t wire, dict::Intent intent) {
-    if (!slots_.empty()) {
-      Slot& slot = probe(wire);
-      if (slot.intent != kEmpty) {
-        slot.intent = intent;
-        return;
-      }
-      if (2 * (size_ + 1) <= slots_.size()) {
-        slot = Slot{wire, intent};
-        ++size_;
-        return;
-      }
-    }
-    rehash(std::max(kMinSlots, 2 * slots_.size()));
-    probe(wire) = Slot{wire, intent};
-    ++size_;
+    map_.insert_or_assign(wire, intent);
   }
 
   /// Sizes the array for `count` keys without a further doubling.
-  void reserve(std::size_t count) {
-    std::size_t slots = kMinSlots;
-    while (slots < 2 * count) slots *= 2;
-    if (slots > slots_.size()) rehash(slots);
-  }
+  void reserve(std::size_t count) { map_.reserve(count); }
 
   /// Calls `fn(wire, intent)` for every stored key, in slot order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Slot& slot : slots_)
-      if (slot.intent != kEmpty) fn(slot.wire, slot.intent);
+    map_.for_each(fn);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
 
  private:
-  static constexpr auto kEmpty = static_cast<dict::Intent>(0xFF);
-  static constexpr std::size_t kMinSlots = 16;
-  struct Slot {
-    std::uint32_t wire = 0;
-    dict::Intent intent = kEmpty;
-  };
-  static_assert(sizeof(Slot) == 8);
-
-  [[nodiscard]] std::size_t home(std::uint32_t wire) const noexcept {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(wire) * 0x9E3779B97F4A7C15ULL) >> shift_);
-  }
-
-  /// The slot holding `wire`, or the empty slot that ends its probe run.
-  [[nodiscard]] Slot& probe(std::uint32_t wire) noexcept {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = home(wire);
-    while (slots_[i].intent != kEmpty && slots_[i].wire != wire)
-      i = (i + 1) & mask;
-    return slots_[i];
-  }
-
-  void rehash(std::size_t slots) {
-    std::vector<Slot> old(slots, Slot{});
-    old.swap(slots_);
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
-    for (const Slot& slot : old)
-      if (slot.intent != kEmpty) probe(slot.wire) = slot;
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-  unsigned shift_ = 64;  ///< 64 - log2(slots_.size())
+  util::FlatMap<std::uint32_t, dict::Intent, static_cast<dict::Intent>(0xFF)>
+      map_;
 };
 
 /// One immutable epoch of the community -> intent map, keyed by the

@@ -500,12 +500,13 @@ void JournalWriter::write_bytes(std::span<const std::uint8_t> bytes) {
 std::uint64_t JournalWriter::write_frame(
     std::span<const std::uint8_t> payload) {
   const std::uint64_t checksum = util::xxh64(payload);
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  wire::put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-  wire::put<std::uint64_t>(frame, checksum);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  write_bytes(frame);
+  // One write per frame, through a buffer the writer keeps: it grows to
+  // the largest frame once and is then reused without allocating.
+  frame_.clear();
+  wire::put<std::uint32_t>(frame_, static_cast<std::uint32_t>(payload.size()));
+  wire::put<std::uint64_t>(frame_, checksum);
+  frame_.insert(frame_.end(), payload.begin(), payload.end());
+  write_bytes(frame_);
   return checksum;
 }
 

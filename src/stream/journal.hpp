@@ -238,6 +238,7 @@ class JournalWriter {
   std::uint64_t unsynced_bytes_ = 0;
   JournalWriterStats stats_;
   bool closed_ = false;
+  std::vector<std::uint8_t> frame_;  // write_frame's reused frame buffer
 };
 
 // --- Scanner ---------------------------------------------------------------

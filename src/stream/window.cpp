@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "bgp/asn.hpp"
-#include "core/labeling.hpp"
 
 namespace bgpintent::stream {
 
@@ -23,6 +22,12 @@ namespace {
   return Community::from_wire(static_cast<std::uint32_t>(key));
 }
 
+/// A key with its halves swapped, (community wire << 32 | path), so that
+/// sorting orders keys by community: restore_state's activation order.
+[[nodiscard]] constexpr std::uint64_t swap_halves(std::uint64_t key) noexcept {
+  return key << 32 | key >> 32;
+}
+
 /// The cached label of `beta` in a beta-sorted label list.
 [[nodiscard]] Intent find_label(
     const std::vector<std::pair<std::uint16_t, Intent>>& labels,
@@ -34,6 +39,15 @@ namespace {
       });
   return it == labels.end() || it->first != beta ? Intent::kUnclassified
                                                  : it->second;
+}
+
+/// The first entry of a beta column whose beta is not below `beta`.
+[[nodiscard]] std::vector<core::BetaCounts>::iterator lower_beta(
+    std::vector<core::BetaCounts>& column, std::uint16_t beta) noexcept {
+  return std::lower_bound(column.begin(), column.end(), beta,
+                          [](const core::BetaCounts& entry, std::uint16_t b) {
+                            return entry.beta < b;
+                          });
 }
 
 }  // namespace
@@ -56,12 +70,11 @@ void WindowClassifier::advance_to(std::uint32_t timestamp) {
     ring_.pop_front();
     ++expired_epochs_;
     // A key seen again in a later epoch is listed there too and stays.
-    for (const std::uint64_t key : expired.keys) {
-      const auto seen = last_seen_.find(key);
-      if (seen == last_seen_.end() || seen->second != expired.id) continue;
-      last_seen_.erase(seen);
-      deactivate_tuple(key);
-    }
+    for (const std::uint64_t key : expired.keys)
+      if (last_seen_.erase_if(key, [&](std::uint64_t last) {
+            return last == expired.id;
+          }))
+        deactivate_tuple(key);
   }
 }
 
@@ -85,8 +98,8 @@ void WindowClassifier::announce(const bgp::RibEntry& entry,
     const auto [seen, fresh] = last_seen_.try_emplace(key, epoch.id);
     if (fresh) {
       activate_tuple(key);
-    } else if (seen->second != epoch.id) {
-      seen->second = epoch.id;
+    } else if (*seen != epoch.id) {
+      *seen = epoch.id;
     } else {
       continue;  // already listed in this epoch
     }
@@ -104,37 +117,34 @@ void WindowClassifier::withdraw(const bgp::VantagePointId& /*peer*/,
 void WindowClassifier::activate_tuple(std::uint64_t key) {
   const bgp::PathId path = key_path(key);
   const Community community = key_community(key);
+  if (path >= path_refs_.size()) path_refs_.resize(paths_.size(), 0);
   if (++path_refs_[path] == 1) path_became_live(path);
 
   AlphaCounts& counts = alphas_[community.alpha()];
-  OnOff& on_off = counts.betas[community.beta()];
+  auto entry = lower_beta(counts.betas, community.beta());
+  if (entry == counts.betas.end() || entry->beta != community.beta())
+    entry = counts.betas.insert(entry, core::BetaCounts{community.beta(), 0, 0});
   if (on_path(path, community.alpha()))
-    ++on_off.on;
+    ++entry->on_paths;
   else
-    ++on_off.off;
-  dirty_.insert(community.alpha());
+    ++entry->off_paths;
+  mark_dirty(community.alpha(), counts);
 }
 
 void WindowClassifier::deactivate_tuple(std::uint64_t key) {
   const bgp::PathId path = key_path(key);
   const Community community = key_community(key);
 
-  const auto alpha_it = alphas_.find(community.alpha());
-  AlphaCounts& counts = alpha_it->second;
-  const auto beta_it = counts.betas.find(community.beta());
+  AlphaCounts& counts = alphas_.find(community.alpha())->second;
+  const auto entry = lower_beta(counts.betas, community.beta());
   if (on_path(path, community.alpha()))
-    --beta_it->second.on;
+    --entry->on_paths;
   else
-    --beta_it->second.off;
-  if (beta_it->second.on == 0 && beta_it->second.off == 0)
-    counts.betas.erase(beta_it);
-  dirty_.insert(community.alpha());
+    --entry->off_paths;
+  if (entry->on_paths == 0 && entry->off_paths == 0) counts.betas.erase(entry);
+  mark_dirty(community.alpha(), counts);
 
-  const auto path_ref = path_refs_.find(path);
-  if (--path_ref->second == 0) {
-    path_refs_.erase(path_ref);
-    path_became_dead(path);
-  }
+  if (--path_refs_[path] == 0) path_became_dead(path);
 }
 
 void WindowClassifier::path_became_live(bgp::PathId path) {
@@ -154,77 +164,73 @@ void WindowClassifier::path_became_dead(bgp::PathId path) {
 
 void WindowClassifier::mark_exclusion_dirty(bgp::Asn asn) {
   const auto mark = [this](bgp::Asn candidate) {
-    if (candidate <= 0xffff &&
-        alphas_.contains(static_cast<std::uint16_t>(candidate)))
-      dirty_.insert(static_cast<std::uint16_t>(candidate));
+    if (candidate > 0xffff) return;
+    const auto alpha = static_cast<std::uint16_t>(candidate);
+    const auto it = alphas_.find(alpha);
+    if (it != alphas_.end()) mark_dirty(alpha, it->second);
   };
   mark(asn);
   if (config_.observation.sibling_aware && orgs_ != nullptr)
-    for (const bgp::Asn sibling : orgs_->siblings(asn)) mark(sibling);
+    for (const bgp::Asn sibling : orgs_->siblings(asn))
+      if (sibling != asn) mark(sibling);
 }
 
-bool WindowClassifier::on_path(bgp::PathId path, std::uint16_t alpha) {
-  const std::uint64_t memo_key =
-      static_cast<std::uint64_t>(path) << 16 | alpha;
-  const auto [memo, fresh] = on_path_memo_.try_emplace(memo_key, false);
-  if (fresh) {
-    bool on = paths_.contains(path, alpha);
-    if (!on && config_.observation.sibling_aware && orgs_ != nullptr)
-      for (const bgp::Asn sibling : orgs_->siblings(alpha))
-        if (sibling != alpha && paths_.contains(path, sibling)) {
-          on = true;
-          break;
-        }
-    memo->second = on;
-  }
-  return memo->second;
+void WindowClassifier::mark_dirty(std::uint16_t alpha, AlphaCounts& counts) {
+  if (counts.dirty) return;
+  counts.dirty = true;
+  dirty_.push_back(alpha);
+}
+
+bool WindowClassifier::on_path(bgp::PathId path, std::uint16_t alpha) const {
+  return core::on_path(paths_, path, alpha, orgs_,
+                       config_.observation.sibling_aware);
 }
 
 bool WindowClassifier::alpha_on_any_path(std::uint16_t alpha) const {
-  if (asn_refs_.contains(alpha)) return true;
-  if (!config_.observation.sibling_aware || orgs_ == nullptr) return false;
-  for (const bgp::Asn sibling : orgs_->siblings(alpha))
-    if (asn_refs_.contains(sibling)) return true;
-  return false;
+  return core::alpha_or_sibling_seen(
+      alpha, orgs_, config_.observation.sibling_aware,
+      [this](bgp::Asn asn) { return asn_refs_.contains(asn); });
 }
 
 void WindowClassifier::relabel_alpha(std::uint16_t alpha, AlphaCounts& counts,
                                      std::vector<LabelChange>& out) {
   reclassified_communities_ += counts.betas.size();
 
-  Labels previous;
-  previous.swap(counts.labels);
-  counts.labels.reserve(previous.size());
-
-  std::vector<core::BetaCounts> evidence;
+  // A first label has nothing to diff against: the rule writes the cache
+  // directly and every label is a transition from unclassified.  A
+  // relabel writes a scratch list and merges it with the cache.
+  const bool first = counts.labels.empty();
+  Labels& fresh = first ? counts.labels : scratch_labels_;
+  fresh.clear();
   core::label_alpha_counts(
       alpha, [&] { return alpha_on_any_path(alpha); },
-      [&] {
-        evidence.reserve(counts.betas.size());
-        for (const auto& [beta, on_off] : counts.betas)
-          evidence.push_back({beta, on_off.on, on_off.off});
-        std::sort(evidence.begin(), evidence.end(),
-                  [](const core::BetaCounts& a, const core::BetaCounts& b) {
-                    return a.beta < b.beta;
-                  });
-        return std::span<const core::BetaCounts>(evidence);
-      },
-      config_.classifier, [&counts](const core::ClusterDecision& cluster) {
+      [&counts] { return std::span<const core::BetaCounts>(counts.betas); },
+      config_.classifier,
+      [&fresh, &counts](const core::ClusterDecision& cluster) {
+        if (fresh.empty()) fresh.reserve(counts.betas.size());
         // Clusters and their members arrive in ascending beta order.
         for (const core::BetaCounts& member : cluster.members)
-          counts.labels.emplace_back(member.beta, cluster.intent);
+          fresh.emplace_back(member.beta, cluster.intent);
       });
+  if (first) {
+    for (const auto& [beta, intent] : fresh)
+      out.push_back(LabelChange{Community(alpha, beta), Intent::kUnclassified,
+                                intent, current_epoch_});
+    return;
+  }
 
   // Merge the two beta-sorted lists: transitions in ascending beta order.
+  const Labels& previous = counts.labels;
+  const std::size_t first_change = out.size();
   auto before = previous.begin();
-  auto after = counts.labels.begin();
-  while (before != previous.end() || after != counts.labels.end()) {
+  auto after = fresh.begin();
+  while (before != previous.end() || after != fresh.end()) {
     const bool take_before =
-        after == counts.labels.end() ||
+        after == fresh.end() ||
         (before != previous.end() && before->first <= after->first);
     const bool take_after =
         before == previous.end() ||
-        (after != counts.labels.end() && after->first <= before->first);
+        (after != fresh.end() && after->first <= before->first);
     const std::uint16_t beta = take_before ? before->first : after->first;
     const Intent old_intent =
         take_before ? (before++)->second : Intent::kUnclassified;
@@ -234,13 +240,21 @@ void WindowClassifier::relabel_alpha(std::uint16_t alpha, AlphaCounts& counts,
       out.push_back(LabelChange{Community(alpha, beta), old_intent,
                                 new_intent, current_epoch_});
   }
+  // The rule never emits kUnclassified, so equal sizes and no transition
+  // mean equal lists.  Otherwise copy, growing the cache geometrically so
+  // an alpha that gains a beta per pass does not reallocate every pass.
+  if (out.size() == first_change && previous.size() == fresh.size()) return;
+  if (fresh.size() > counts.labels.capacity())
+    counts.labels.reserve(std::max(fresh.size(), 2 * counts.labels.capacity()));
+  counts.labels.assign(fresh.begin(), fresh.end());
 }
 
 std::vector<LabelChange> WindowClassifier::reclassify_dirty() {
   std::vector<LabelChange> changes;
+  std::sort(dirty_.begin(), dirty_.end());
   for (const std::uint16_t alpha : dirty_) {
-    const auto it = alphas_.find(alpha);
-    if (it == alphas_.end()) continue;
+    const auto it = alphas_.find(alpha);  // mark_dirty took an entry
+    it->second.dirty = false;
     if (it->second.betas.empty()) {
       // Every observation of this alpha expired: retire cached labels.
       for (const auto& [beta, intent] : it->second.labels)
@@ -256,7 +270,7 @@ std::vector<LabelChange> WindowClassifier::reclassify_dirty() {
 }
 
 void WindowClassifier::mark_all_dirty() {
-  for (const auto& [alpha, counts] : alphas_) dirty_.insert(alpha);
+  for (auto& [alpha, counts] : alphas_) mark_dirty(alpha, counts);
 }
 
 Intent WindowClassifier::label_of(Community community) const noexcept {
@@ -268,9 +282,9 @@ Intent WindowClassifier::label_of(Community community) const noexcept {
 WindowClassifier::Totals WindowClassifier::totals() const {
   Totals totals;
   for (const auto& [alpha, counts] : alphas_) {
-    for (const auto& [beta, on_off] : counts.betas) {
+    for (const core::BetaCounts& entry : counts.betas) {
       ++totals.communities;
-      const Intent label = find_label(counts.labels, beta);
+      const Intent label = find_label(counts.labels, entry.beta);
       if (label == Intent::kUnclassified) {
         ++totals.unclassified;
       } else if (label == Intent::kInformation) {
@@ -295,7 +309,8 @@ std::vector<std::pair<Community, Intent>> WindowClassifier::labels() const {
 std::vector<bgp::InternedTuple> WindowClassifier::window_tuples() const {
   std::vector<std::uint64_t> keys;
   keys.reserve(last_seen_.size());
-  for (const auto& [key, epoch] : last_seen_) keys.push_back(key);
+  last_seen_.for_each(
+      [&keys](std::uint64_t key, std::uint64_t) { keys.push_back(key); });
   std::sort(keys.begin(), keys.end());
   std::vector<bgp::InternedTuple> tuples;
   tuples.reserve(keys.size());
@@ -318,7 +333,7 @@ WindowState WindowClassifier::export_state(bool with_paths) const {
     WindowState::EpochState out;
     out.id = epoch.id;
     for (const std::uint64_t key : epoch.keys)
-      if (last_seen_.at(key) == epoch.id) out.tuples.emplace_back(key, 1);
+      if (*last_seen_.find(key) == epoch.id) out.tuples.emplace_back(key, 1);
     std::sort(out.tuples.begin(), out.tuples.end());
     state.ring.push_back(std::move(out));
   }
@@ -334,7 +349,8 @@ WindowState WindowClassifier::export_state(bool with_paths) const {
             [](const WindowState::AlphaLabels& a,
                const WindowState::AlphaLabels& b) { return a.alpha < b.alpha; });
 
-  state.dirty.assign(dirty_.begin(), dirty_.end());  // std::set: ascending
+  state.dirty = dirty_;
+  std::sort(state.dirty.begin(), state.dirty.end());
 
   state.started = started_;
   state.current_epoch = current_epoch_;
@@ -348,10 +364,8 @@ WindowState WindowClassifier::export_state(bool with_paths) const {
 
 void WindowClassifier::restore_state(const WindowState& state,
                                      bgp::PathTable paths) {
-  on_path_memo_.clear();
   ring_.clear();
   last_seen_.clear();
-  path_refs_.clear();
   asn_refs_.clear();
   alphas_.clear();
   dirty_.clear();
@@ -364,7 +378,14 @@ void WindowClassifier::restore_state(const WindowState& state,
     paths_ = bgp::PathTable{};
     for (const bgp::AsPath& path : state.paths) paths_.intern(path);
   }
+  path_refs_.assign(paths_.size(), 0);
 
+  std::size_t live = 0;
+  for (const WindowState::EpochState& epoch : state.ring)
+    live += epoch.tuples.size();
+  last_seen_.reserve(live);
+  std::vector<std::uint64_t> by_community;
+  by_community.reserve(live);
   for (const WindowState::EpochState& epoch : state.ring) {
     Epoch rebuilt;
     rebuilt.id = epoch.id;
@@ -377,18 +398,24 @@ void WindowClassifier::restore_state(const WindowState& state,
         throw std::runtime_error(
             "window state ring lists a key in two epochs");
       rebuilt.keys.push_back(key);
+      by_community.push_back(swap_halves(key));
     }
     ring_.push_back(std::move(rebuilt));
   }
 
-  // activate_tuple per live key rebuilds path/asn refcounts and beta
-  // counters; the final state is order-independent (pure increments).
-  for (const auto& [key, epoch] : last_seen_) activate_tuple(key);
+  // activate_tuple per live key rebuilds path/asn refcounts and the beta
+  // columns.  The counts are pure increments, so any order gives the same
+  // state; ascending community order makes every column insert an append.
+  std::sort(by_community.begin(), by_community.end());
+  for (const std::uint64_t key : by_community)
+    activate_tuple(swap_halves(key));
 
   // Classification history is carried verbatim, not derived: overwrite the
   // labels and the dirty set activate_tuple just polluted.
+  for (auto& [alpha, counts] : alphas_) counts.dirty = false;
   dirty_.clear();
-  dirty_.insert(state.dirty.begin(), state.dirty.end());
+  for (const std::uint16_t alpha : state.dirty)
+    mark_dirty(alpha, alphas_[alpha]);
   for (const WindowState::AlphaLabels& alpha : state.alphas) {
     alphas_[alpha.alpha].labels = alpha.labels;
   }
@@ -407,18 +434,18 @@ std::size_t WindowClassifier::memory_bytes() const noexcept {
   // overhead; close enough for the trend line the bench charts.
   constexpr std::size_t kNode = 2 * sizeof(void*);
   std::size_t bytes = paths_.memory_bytes();
-  bytes += on_path_memo_.size() * (kNode + sizeof(std::uint64_t) + 1);
-  bytes += last_seen_.size() * (kNode + 16);
-  bytes += path_refs_.size() * (kNode + 8);
+  bytes += last_seen_.memory_bytes();
+  bytes += path_refs_.capacity() * sizeof(std::uint32_t);
   bytes += asn_refs_.size() * (kNode + 8);
   for (const Epoch& epoch : ring_)
     bytes += sizeof(Epoch) + epoch.keys.capacity() * sizeof(std::uint64_t);
   for (const auto& [alpha, counts] : alphas_) {
     bytes += kNode + sizeof(AlphaCounts);
-    bytes += counts.betas.size() * (kNode + sizeof(OnOff) + 2);
+    bytes += counts.betas.capacity() * sizeof(core::BetaCounts);
     bytes += counts.labels.capacity() * sizeof(Labels::value_type);
   }
-  bytes += dirty_.size() * (4 * sizeof(void*));
+  bytes += dirty_.capacity() * sizeof(std::uint16_t);
+  bytes += scratch_labels_.capacity() * sizeof(Labels::value_type);
   return bytes;
 }
 

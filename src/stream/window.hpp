@@ -9,6 +9,15 @@
 // last-seen epoch it still is.  All classifier-facing state — per-community
 // on/off unique-path counts, the ASN-on-path universe, the alpha dirty set
 // — is maintained by refcounts on those activations and deactivations.
+//
+// Layout (docs/STREAMING.md §1): each alpha keeps one evidence column,
+// core::BetaCounts sorted by beta, which core::label_alpha_counts reads in
+// place; a new beta is inserted where it sorts and a beta whose counts
+// reach zero is erased, so one costs O(betas of its alpha).  Path
+// refcounts are an array indexed by PathId, last-seen epochs a flat
+// open-addressing table, and the dirty set a flag per alpha plus a list
+// sorted once per pass.  The on-path test is core::on_path, a binary
+// search over the path's unique ASNs, asked afresh on every activation.
 // A window of UINT32_MAX epochs never expires anything: `bgpintent serve`
 // runs that non-expiring window, the paper's days-of-data sweep fed one
 // observation at a time.  Reclassification runs only
@@ -33,15 +42,16 @@
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "bgp/path_table.hpp"
 #include "bgp/route.hpp"
 #include "core/classifier.hpp"
+#include "core/labeling.hpp"
 #include "core/observations.hpp"
 #include "topo/org_map.hpp"
+#include "util/flat_map.hpp"
 
 namespace bgpintent::stream {
 
@@ -71,7 +81,7 @@ struct LabelChange {
 
 /// The canonical (sorted, deduplicated) image of a WindowClassifier, for
 /// checkpoints and crash-recovery equality checks.  Everything derivable
-/// from the ring — refcounts, beta counters, the on-path memo — is omitted
+/// from the ring — refcounts and beta columns — is omitted
 /// and rebuilt by restore_state(); labels and the dirty set are carried
 /// verbatim because they encode classification history, not evidence.
 /// Two observationally identical windows export equal states regardless of
@@ -176,9 +186,12 @@ class WindowClassifier {
   [[nodiscard]] WindowState export_state(bool with_paths = true) const;
 
   /// Replaces this window's contents with `state`, rebuilding every
-  /// derived structure (refcounts, beta counters) from the ring.  The
-  /// path table is `state.paths` re-interned in order or, when those are
-  /// empty, `paths` (a state image's columns, PathIds as exported).  The
+  /// derived structure (refcounts, beta columns) from the ring.  Live keys
+  /// are activated in ascending community order, so every beta lands at
+  /// the back of its alpha's column and the rebuild is linear after one
+  /// sort of the keys.  The path table is `state.paths` re-interned in
+  /// order or, when those are empty, `paths` (a state image's columns,
+  /// PathIds as exported).  The
   /// classifier must have been constructed with the same WindowConfig and
   /// OrgMap the state was exported under — neither is part of the state.
   /// Throws std::runtime_error on internally inconsistent state (a ring
@@ -219,20 +232,20 @@ class WindowClassifier {
   }
 
   /// Approximate bytes held by the window: path arenas plus every
-  /// refcount/accumulator table (capacity-based, like
+  /// refcount table and evidence column (capacity-based, like
   /// PathTable::memory_bytes).
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  struct OnOff {
-    std::uint32_t on = 0;
-    std::uint32_t off = 0;
-  };
   /// (beta, intent), ascending by beta.
   using Labels = std::vector<std::pair<std::uint16_t, Intent>>;
   struct AlphaCounts {
-    std::unordered_map<std::uint16_t, OnOff> betas;
-    Labels labels;  ///< the cached labels
+    /// The evidence column: one entry per beta with a live observation
+    /// (never both counts zero), ascending by beta.  It is the span
+    /// label_alpha_counts reads, without a copy or a sort.
+    std::vector<core::BetaCounts> betas;
+    Labels labels;       ///< the cached labels
+    bool dirty = false;  ///< listed in dirty_
   };
   struct Epoch {
     std::uint64_t id = 0;
@@ -255,11 +268,11 @@ class WindowClassifier {
   /// An ASN entered/left the on-path universe: the alphas whose exclusion
   /// that may flip (the ASN itself and its org siblings) go dirty.
   void mark_exclusion_dirty(bgp::Asn asn);
+  void mark_dirty(std::uint16_t alpha, AlphaCounts& counts);
 
-  /// Memoized "alpha (or an org sibling) is on path" — a pure function of
-  /// path content, the org map, and the sibling config, so entries stay
-  /// valid across expiry.
-  [[nodiscard]] bool on_path(bgp::PathId path, std::uint16_t alpha);
+  /// core::on_path and core::alpha_or_sibling_seen under this window's
+  /// org map and sibling config.
+  [[nodiscard]] bool on_path(bgp::PathId path, std::uint16_t alpha) const;
   [[nodiscard]] bool alpha_on_any_path(std::uint16_t alpha) const;
 
   /// Relabels one alpha into `counts.labels`, appending transitions.
@@ -270,16 +283,20 @@ class WindowClassifier {
   const topo::OrgMap* orgs_ = nullptr;
 
   bgp::PathTable paths_;
-  std::unordered_map<std::uint64_t, bool> on_path_memo_;
 
   std::deque<Epoch> ring_;
-  /// Live key -> the id of the last epoch it was seen in.
-  std::unordered_map<std::uint64_t, std::uint64_t> last_seen_;
-  std::unordered_map<bgp::PathId, std::uint32_t> path_refs_;
+  /// Live key -> the id of the last epoch it was seen in.  Epoch ids are
+  /// timestamp / epoch_seconds and fit in 32 bits, so ~0 marks a free slot.
+  util::FlatMap<std::uint64_t, std::uint64_t, ~std::uint64_t{0}> last_seen_;
+  /// Live keys per path, indexed by PathId (ids are dense and
+  /// append-only, so the array only ever grows).
+  std::vector<std::uint32_t> path_refs_;
   std::unordered_map<bgp::Asn, std::uint32_t> asn_refs_;
   std::unordered_map<std::uint16_t, AlphaCounts> alphas_;
-  // Ordered so reclassify_dirty walks alphas ascending without a sort.
-  std::set<std::uint16_t> dirty_;
+  /// Alphas to relabel, in marking order; sorted by reclassify_dirty().
+  std::vector<std::uint16_t> dirty_;
+  /// relabel_alpha's new labels, reused across alphas and passes.
+  Labels scratch_labels_;
 
   bool started_ = false;
   std::uint64_t current_epoch_ = 0;

@@ -124,9 +124,9 @@ Topology generate_topology(const TopologyConfig& config) {
                    meeting_point(rng, a, b, config.cities_per_region));
     }
   }
-  // Sibling edges inside orgs.
+  // Sibling edges inside orgs (an ASN without an org has no siblings).
   for (Asn asn : tier2s)
-    for (Asn sibling : topo.orgs.siblings(asn))
+    for (const Asn sibling : topo.orgs.siblings(asn))
       if (sibling > asn && !g.relationship(asn, sibling))
         g.add_edge(asn, sibling, Relationship::kS2S,
                    meeting_point(rng, *g.find(asn), *g.find(sibling),

@@ -25,10 +25,10 @@ std::optional<OrgId> OrgMap::org_of(Asn asn) const noexcept {
   return it->second;
 }
 
-std::vector<Asn> OrgMap::siblings(Asn asn) const {
-  auto org = org_of(asn);
-  if (!org) return {asn};
-  return members_.at(*org);
+std::span<const Asn> OrgMap::siblings(Asn asn) const noexcept {
+  const auto org = org_.find(asn);
+  if (org == org_.end()) return {};
+  return members_.find(org->second)->second;
 }
 
 bool OrgMap::are_siblings(Asn a, Asn b) const noexcept {

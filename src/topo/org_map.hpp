@@ -5,6 +5,8 @@
 // those sibling queries.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,9 +25,11 @@ class OrgMap {
   /// Org of `asn`; nullopt if unmapped.
   [[nodiscard]] std::optional<OrgId> org_of(Asn asn) const noexcept;
 
-  /// All ASNs in the same org as `asn`, including `asn` itself if mapped
-  /// (ascending).  An unmapped ASN yields just itself.
-  [[nodiscard]] std::vector<Asn> siblings(Asn asn) const;
+  /// All ASNs in the same org as `asn`, `asn` included (ascending), as a
+  /// view into the org's member list: no allocation, valid until the next
+  /// assign().  An unmapped ASN has no org and yields an empty span, so
+  /// callers test the ASN itself before walking its siblings.
+  [[nodiscard]] std::span<const Asn> siblings(Asn asn) const noexcept;
 
   /// True when the two ASNs map to the same org (an ASN is always its own
   /// sibling, mapped or not).

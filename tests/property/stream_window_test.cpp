@@ -14,7 +14,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -174,6 +177,105 @@ TEST(StreamWindowProperty, WindowedMatchesBatchAtEveryCheckpoint) {
   EXPECT_GT(window.expired_epochs(), 0u);
   EXPECT_GT(window.withdraws(), 0u);
 }
+
+/// One classifier setting the window must agree with batch under.
+struct WindowSetting {
+  const char* name = "";
+  bool mean_of_ratios = false;
+  std::uint32_t min_gap = 140;
+  bool sibling_aware = true;
+};
+
+void PrintTo(const WindowSetting& setting, std::ostream* os) {
+  *os << setting.name;
+}
+
+class StreamWindowSettingProperty
+    : public ::testing::TestWithParam<WindowSetting> {};
+
+/// The label transitions that turn `before` into `after` (both ascending by
+/// community), in (alpha, beta) order, stamped with `epoch`: what a pass
+/// between the two must have returned.
+std::vector<LabelChange> label_diff(
+    const std::vector<std::pair<Community, Intent>>& before,
+    const std::vector<std::pair<Community, Intent>>& after,
+    std::uint64_t epoch) {
+  std::vector<LabelChange> diff;
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() || a != after.end()) {
+    LabelChange change;
+    change.epoch = epoch;
+    if (a == after.end() || (b != before.end() && b->first < a->first)) {
+      change.community = b->first;
+      change.previous = (b++)->second;
+    } else if (b == before.end() || a->first < b->first) {
+      change.community = a->first;
+      change.current = (a++)->second;
+    } else {
+      change.community = a->first;
+      change.previous = (b++)->second;
+      change.current = (a++)->second;
+    }
+    if (change.previous != change.current) diff.push_back(change);
+  }
+  return diff;
+}
+
+/// Reclassifies every 64 updates and, after every pass, checks the labels
+/// against the batch build and the pass's events against the label diff
+/// the pass made, under each classifier setting.
+TEST_P(StreamWindowSettingProperty, WindowedMatchesBatchAfterEveryPass) {
+  const WindowSetting& setting = GetParam();
+  const auto scenario = routing::Scenario::build(small_scenario());
+  const topo::OrgMap* orgs = &scenario.topology().orgs;
+  const auto updates = decode_synth_stream(synth_config());
+  ASSERT_GT(updates.size(), 500u);
+
+  WindowConfig config = tight_window();
+  config.classifier.mean_of_ratios = setting.mean_of_ratios;
+  config.classifier.min_gap = setting.min_gap;
+  config.observation.sibling_aware = setting.sibling_aware;
+  WindowClassifier window(config, orgs);
+  std::vector<std::pair<Community, Intent>> before;
+  std::size_t passes = 0;
+  std::size_t events = 0;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const Update& u = updates[i];
+    if (u.announce)
+      window.announce(u.entry, u.timestamp);
+    else
+      window.withdraw(u.peer, u.prefix, u.timestamp);
+    if ((i + 1) % 64 != 0 && i + 1 != updates.size()) continue;
+
+    const std::vector<LabelChange> changes = window.reclassify_dirty();
+    const auto after = window.labels();
+    SCOPED_TRACE("pass after update " + std::to_string(i + 1));
+    ASSERT_EQ(changes, label_diff(before, after, window.current_epoch()));
+    const core::InferenceResult batch = batch_reference(window, orgs, nullptr);
+    ASSERT_EQ(after.size(), batch.labels.size());
+    for (const auto& [community, intent] : after)
+      ASSERT_EQ(intent, batch.label_of(community)) << community.to_string();
+    before = after;
+    ++passes;
+    events += changes.size();
+  }
+  EXPECT_GT(passes, 8u);
+  EXPECT_GT(events, 0u);
+  EXPECT_GT(window.expired_epochs(), 0u);
+  expect_window_matches_batch(window, orgs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Settings, StreamWindowSettingProperty,
+    ::testing::Values(WindowSetting{"pooled_gap140", false, 140, true},
+                      WindowSetting{"mean_of_ratios_gap140", true, 140, true},
+                      WindowSetting{"pooled_gap0", false, 0, true},
+                      WindowSetting{"pooled_gap3", false, 3, true},
+                      WindowSetting{"no_siblings", false, 140, false}),
+    [](const ::testing::TestParamInfo<WindowSetting>& setting) {
+      return std::string(setting.param.name);
+    });
 
 /// Expiry to empty: once every record has aged out, the window must agree
 /// with a batch build over nothing — no labels, all-zero totals.

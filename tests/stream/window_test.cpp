@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "bgp/route.hpp"
+#include "core/classifier.hpp"
+#include "core/observations.hpp"
 
 namespace bgpintent::stream {
 namespace {
@@ -151,6 +155,77 @@ TEST(WindowClassifier, MarkAllDirtyForcesFullReexamination) {
   const auto changes = window.reclassify_dirty();
   EXPECT_TRUE(changes.empty());
   EXPECT_EQ(window.reclassified_communities(), examined + 2);
+}
+
+/// The window's labels against a from-scratch batch build over its live
+/// tuples, both as sorted (community, intent) lists.
+void expect_matches_batch(const WindowClassifier& window) {
+  const core::ObservationIndex index = core::ObservationIndex::build_interned(
+      window.paths(), window.window_tuples(), nullptr, nullptr,
+      window.config().observation);
+  const core::InferenceResult batch =
+      core::classify(index, window.config().classifier);
+  std::vector<std::pair<bgp::Community, Intent>> expected(
+      batch.labels.begin(), batch.labels.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(window.labels(), expected);
+}
+
+/// One public alpha with 4,096 betas, announced in descending beta order
+/// so that every new beta sorts before the whole column and is inserted
+/// at its front.  Betas sit 10 apart, with a 40-wide gap every 64th, so
+/// min_gap 20 cuts 64 clusters: pure on-path, pure off-path and mixed.
+/// The older half then expires, and a window restored from the export
+/// must match the live one and batch.
+TEST(WindowClassifier, WideAlphaBuiltFrontFirstMatchesBatchAcrossRestore) {
+  WindowConfig config = tight();
+  config.classifier.min_gap = 20;
+  WindowClassifier window(config);
+  constexpr std::uint16_t kAlpha = 100;
+  constexpr std::uint32_t kBetas = 4096;
+  const auto beta_of = [](std::uint32_t i) {
+    return static_cast<std::uint16_t>(10 * i + 30 * (i / 64));
+  };
+  for (std::uint32_t n = 0; n < kBetas; ++n) {
+    const std::uint32_t i = kBetas - 1 - n;
+    const std::uint32_t cluster = i / 64;
+    const bool on = cluster % 3 == 0 || (cluster % 3 == 2 && i % 4 != 0);
+    std::vector<bgp::Asn> path =
+        on ? std::vector<bgp::Asn>{61, kAlpha, 200 + i % 7}
+           : std::vector<bgp::Asn>{62, 300, 400 + i % 5};
+    // The higher half lands in epoch 0, the lower half in epoch 1.
+    window.announce(entry(61, std::move(path),
+                          {bgp::Community(kAlpha, beta_of(i))}),
+                    i >= kBetas / 2 ? 10 : 110);
+  }
+  (void)window.reclassify_dirty();
+  ASSERT_EQ(window.live_tuple_count(), kBetas);
+  const WindowClassifier::Totals totals = window.totals();
+  ASSERT_EQ(totals.communities, kBetas);
+  EXPECT_GT(totals.information, 0u);
+  EXPECT_GT(totals.action, 0u);
+  expect_matches_batch(window);
+
+  // t=250 moves the window to epochs [1, 2]: the higher half expires.
+  bgp::VantagePointId vp;
+  vp.asn = 61;
+  window.withdraw(vp, *bgp::Prefix::parse("10.0.0.0/24"), 250);
+  const auto changes = window.reclassify_dirty();
+  EXPECT_EQ(changes.size(), kBetas / 2);
+  for (const LabelChange& change : changes) {
+    EXPECT_GE(change.community.beta(), beta_of(kBetas / 2));
+    EXPECT_EQ(change.current, Intent::kUnclassified);
+  }
+  ASSERT_EQ(window.live_tuple_count(), kBetas / 2);
+  expect_matches_batch(window);
+
+  WindowClassifier restored(config);
+  restored.restore_state(window.export_state());
+  EXPECT_EQ(restored.export_state(), window.export_state());
+  EXPECT_EQ(restored.labels(), window.labels());
+  EXPECT_EQ(restored.dirty_alpha_count(), 0u);
+  EXPECT_TRUE(restored.reclassify_dirty().empty());
+  expect_matches_batch(restored);
 }
 
 TEST(WindowClassifier, MemoryEstimateGrowsWithEvidence) {
