@@ -2,6 +2,7 @@
 
 #include "mrt/framing.hpp"
 #include "mrt/mrt_file.hpp"
+#include "mrt/update_stream.hpp"
 #include "util/thread_pool.hpp"
 
 #include <deque>
@@ -18,19 +19,22 @@ namespace {
 /// one 8-byte tuple per community.  Rows without communities contribute no
 /// tuples and intern nothing, exactly like bgp::intern_entries — so the
 /// streaming table/tuple stream is identical to materialize-then-intern.
-class InternSink final : public mrt::EntrySink {
+/// A RIB has no withdrawals: those of BGP4MP records are dropped.
+class InternSink final : public mrt::UpdateSink {
  public:
   InternSink(bgp::PathTable& paths, std::vector<bgp::InternedTuple>& tuples,
              std::size_t& entries) noexcept
       : paths_(&paths), tuples_(&tuples), entries_(&entries) {}
 
-  void on_entry(bgp::RibEntry& entry) override {
+  void on_announce(bgp::RibEntry& entry, std::uint32_t) override {
     ++*entries_;
     if (entry.route.communities.empty()) return;
     const bgp::PathId id = paths_->intern(entry.route.path);
     for (const bgp::Community community : entry.route.communities)
       tuples_->push_back(bgp::InternedTuple{id, community});
   }
+  void on_withdraw(const bgp::VantagePointId&, const bgp::Prefix&,
+                   std::uint32_t) override {}
 
  private:
   bgp::PathTable* paths_;
@@ -299,30 +303,30 @@ void ingest_parallel_strict_stream(std::istream& in, util::ThreadPool& pool,
   }
 }
 
+/// Sequential ingest of one input (a byte image or an istream): the
+/// decode report merges into the accumulator also on throw.
+template <typename Input>
+void ingest_sequential(Input& input, const mrt::DecodeOptions& options,
+                       Accumulator acc) {
+  InternSink sink(acc.paths, acc.tuples, acc.entries);
+  mrt::DecodeReport local;
+  try {
+    mrt::decode_update_stream(input, sink, options, &local);
+  } catch (...) {
+    acc.report.merge(local);
+    throw;
+  }
+  acc.report.merge(local);
+}
+
 }  // namespace
 
 void MrtIngest::add(const mrt::ByteSource& source) {
-  InternSink sink(paths_, tuples_, entries_);
-  mrt::DecodeReport local;
-  try {
-    mrt::decode_rib_stream(source, sink, options_, &local);
-  } catch (...) {
-    report_.merge(local);
-    throw;
-  }
-  report_.merge(local);
+  ingest_sequential(source, options_, {paths_, tuples_, entries_, report_});
 }
 
 void MrtIngest::add(std::istream& in) {
-  InternSink sink(paths_, tuples_, entries_);
-  mrt::DecodeReport local;
-  try {
-    mrt::decode_rib_stream(in, sink, options_, &local);
-  } catch (...) {
-    report_.merge(local);
-    throw;
-  }
-  report_.merge(local);
+  ingest_sequential(in, options_, {paths_, tuples_, entries_, report_});
 }
 
 void MrtIngest::add_parallel(const mrt::ByteSource& source,

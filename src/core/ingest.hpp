@@ -5,7 +5,7 @@
 // bgp::intern_entries) holds every prefix, full AsPath and community vector
 // live at once before collapsing them into the interned representation.
 // MrtIngest streams instead: each decoded row flows through an
-// mrt::EntrySink that interns its path into one bgp::PathTable and appends
+// mrt::UpdateSink that interns its path into one bgp::PathTable and appends
 // 8-byte (PathId, community) records, so peak memory is proportional to
 // the number of *unique* paths plus one tuple record per (row, community),
 // never to the total row count (docs/PERFORMANCE.md).

@@ -28,7 +28,6 @@ LargeObservationIndex LargeObservationIndex::from_entries(
   };
   std::map<std::uint64_t, Accumulator> acc;  // ordered for sorted output
   LargeObservationIndex index;
-  std::unordered_set<std::uint64_t> values_seen;
 
   for (const bgp::RibEntry& entry : entries) {
     const std::uint64_t path_hash = entry.route.path.hash();
@@ -37,15 +36,12 @@ LargeObservationIndex LargeObservationIndex::from_entries(
     for (const bgp::LargeCommunity& community : entry.route.large_communities) {
       Accumulator& a = acc[function_key(community.alpha(), community.beta())];
       a.gammas.insert(community.gamma());
-      values_seen.insert(function_key(community.alpha(), community.beta()) ^
-                         (static_cast<std::uint64_t>(community.gamma()) << 17));
       if (entry.route.path.contains(community.alpha()))
         a.on_paths.insert(path_hash);
       else
         a.off_paths.insert(path_hash);
     }
   }
-  index.values_ = values_seen.size();
   index.stats_.reserve(acc.size());
   for (const auto& [key, a] : acc) {
     LargeFunctionStats stats;
@@ -54,6 +50,7 @@ LargeObservationIndex LargeObservationIndex::from_entries(
     stats.gamma_count = a.gammas.size();
     stats.on_path_paths = a.on_paths.size();
     stats.off_path_paths = a.off_paths.size();
+    index.values_ += stats.gamma_count;  // distinct values per function
     index.stats_.push_back(stats);
   }
   return index;

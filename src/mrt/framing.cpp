@@ -22,7 +22,7 @@ constexpr std::uint8_t kPeerTypeAs4 = 0x02;  // RFC 6396 §4.3.1
 }
 
 /// Reassigns every field of the scratch row from one attribute block.
-/// The scratch may have been moved from by the previous on_entry call, so
+/// The scratch may have been moved from by the previous on_announce call, so
 /// nothing may survive implicitly — every Route field is written here.
 /// The attribute block is copied, not moved: a sink that leaves the row
 /// alone (the streaming ingest) keeps both the row's and the block's heap
@@ -67,7 +67,7 @@ std::vector<bgp::VantagePointId> decode_peer_index_table(
 
 void decode_data_record(const RecordView& record,
                         const std::vector<bgp::VantagePointId>& peer_table,
-                        EntrySink& sink, RowScratch& scratch) {
+                        UpdateSink& sink, RowScratch& scratch) {
   if (record.type == kTypeTableDumpV2 &&
       record.subtype == kSubtypeRibIpv4Unicast) {
     ByteReader body(record.body);
@@ -83,7 +83,7 @@ void decode_data_record(const RecordView& record,
         throw MrtError("peer index out of range");
       scratch.row.vantage_point = peer_table[peer_idx];
       fill_route(scratch.row.route, prefix, scratch.attrs);
-      sink.on_entry(scratch.row);
+      sink.on_announce(scratch.row, record.timestamp);
     }
   } else if (record.type == kTypeTableDump &&
              record.subtype == kSubtypeTableDumpIpv4) {
@@ -100,7 +100,7 @@ void decode_data_record(const RecordView& record,
     const std::uint16_t attr_len = body.get_u16();
     decode_path_attributes(body, attr_len, /*asn16=*/true, scratch.attrs);
     fill_route(scratch.row.route, bgp::Prefix(address, length), scratch.attrs);
-    sink.on_entry(scratch.row);
+    sink.on_announce(scratch.row, record.timestamp);
   } else if (record.type == kTypeBgp4mp &&
              (record.subtype == kSubtypeBgp4mpStateChange ||
               record.subtype == kSubtypeBgp4mpStateChangeAs4)) {
@@ -117,12 +117,14 @@ void decode_data_record(const RecordView& record,
     peer.address = body.get_u32();
     body.skip(4);  // local IP
     const BgpUpdate update = decode_bgp_message(body);
+    for (const bgp::Prefix& prefix : update.withdrawn)
+      sink.on_withdraw(peer, prefix, record.timestamp);
     for (const bgp::Prefix& prefix : update.announced) {
       // The attribute block is shared by every announced prefix; each row
       // copies it (exactly what the materializing reader paid).
       scratch.row.vantage_point = peer;
       fill_route(scratch.row.route, prefix, update.attrs);
-      sink.on_entry(scratch.row);
+      sink.on_announce(scratch.row, record.timestamp);
     }
   }
   // Other record types: skipped.

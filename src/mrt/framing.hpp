@@ -3,10 +3,11 @@
 // This is the layer underneath mrt_file.hpp's entry points: records are
 // framed as zero-copy views into a stable byte image (RecordView carries a
 // span, never an owned body), and each data record is decoded into one
-// reused scratch row that is handed to an EntrySink.  The sequential
-// decode (mrt::decode_rib_stream) and the chunked-parallel one
-// (core::MrtIngest::add_parallel, docs/PERFORMANCE.md) share the framers
-// and decode units here, so they cannot diverge.
+// reused scratch row that is handed to an UpdateSink.  The sequential
+// decode (mrt::decode_rib_stream, mrt::decode_update_stream) and the
+// chunked-parallel one (core::MrtIngest::add_parallel,
+// docs/PERFORMANCE.md) share the framers and the one record decoder here,
+// so they cannot diverge.
 //
 // Two framers cover the two failure models:
 //
@@ -58,14 +59,36 @@ struct RecordView {
   std::span<const std::uint8_t> body;
 };
 
-/// Consumer of streamed decode.  on_entry is called once per decoded RIB
-/// row / update announcement, in stream order.  `entry` is a scratch row
-/// reused across calls: it is fully (re)assigned before every call, it is
-/// only valid until on_entry returns, and the sink may move out of it —
-/// copy or steal whatever outlives the call.
-class EntrySink {
+/// Consumer of streamed decode, in stream order.  on_announce is called
+/// once per RIB row and per announced prefix of a BGP4MP update;
+/// on_withdraw once per withdrawn prefix, before the announcements of the
+/// same message.  `entry` is a scratch row reused across calls: it is
+/// fully (re)assigned before every call, it is only valid until
+/// on_announce returns, and the sink may move out of it — copy or steal
+/// whatever outlives the call.  `timestamp` is the MRT record's collector
+/// timestamp (seconds since epoch); RIB rows carry their dump's.
+class UpdateSink {
+ public:
+  virtual void on_announce(bgp::RibEntry& entry, std::uint32_t timestamp) = 0;
+  virtual void on_withdraw(const bgp::VantagePointId& peer,
+                           const bgp::Prefix& prefix,
+                           std::uint32_t timestamp) = 0;
+
+ protected:
+  ~UpdateSink() = default;
+};
+
+/// The RIB view of the same decode: every announcement reaches on_entry
+/// (same scratch-row contract), withdrawals and timestamps are dropped.
+class EntrySink : public UpdateSink {
  public:
   virtual void on_entry(bgp::RibEntry& entry) = 0;
+
+  void on_announce(bgp::RibEntry& entry, std::uint32_t) final {
+    on_entry(entry);
+  }
+  void on_withdraw(const bgp::VantagePointId&, const bgp::Prefix&,
+                   std::uint32_t) final {}
 
  protected:
   ~EntrySink() = default;
@@ -93,14 +116,17 @@ struct RowScratch {
   PathAttributes attrs;
 };
 
-/// Decodes one non-PEER_INDEX_TABLE record, handing each contained entry
-/// to `sink` via `scratch`.  Pure function of (record, peer_table) — the
-/// per-record unit shared by all readers, and what makes chunked decoding
-/// safe: workers only ever read `peer_table` through an immutable
-/// snapshot.  Unknown record types are skipped.
+/// Decodes one non-PEER_INDEX_TABLE record into `sink` via `scratch`:
+/// TABLE_DUMP_V2 and legacy TABLE_DUMP rows become announcements stamped
+/// with the record's timestamp; a BGP4MP MESSAGE_AS4 record emits its
+/// withdrawals, then one announcement per announced prefix (wire order
+/// within each list); state changes and unknown record types are skipped.
+/// Pure function of (record, peer_table) — the one per-record decoder of
+/// every reader, and what makes chunked decoding safe: workers only ever
+/// read `peer_table` through an immutable snapshot.
 void decode_data_record(const RecordView& record,
                         const std::vector<bgp::VantagePointId>& peer_table,
-                        EntrySink& sink, RowScratch& scratch);
+                        UpdateSink& sink, RowScratch& scratch);
 
 /// The resync plausibility test: type/subtype pairs real archives carry
 /// (RFC 6396 plus the deprecated BGP4MP_ET sibling) with a sane length.

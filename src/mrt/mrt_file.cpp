@@ -1,6 +1,7 @@
 #include "mrt/mrt_file.hpp"
 
 #include "bgp/asn.hpp"
+#include "mrt/update_stream.hpp"
 
 #include <istream>
 #include <map>
@@ -268,36 +269,28 @@ bool MrtReader::next_view(RecordView& record) {
 
 namespace {
 
-/// Strict decode of one istream, record by record through the reader's
-/// scratch body — bounded memory regardless of stream length.
-void decode_strict_stream(std::istream& in, EntrySink& sink,
-                          DecodeReport& report) {
-  std::vector<bgp::VantagePointId> peer_table;
-  MrtReader reader(in);
-  RecordView record;
-  RowScratch scratch;
-  while (reader.next_view(record)) {
-    if (is_peer_index_table(record))
-      peer_table = decode_peer_index_table(record);
-    else
-      decode_data_record(record, peer_table, sink, scratch);
-    ++report.records_ok;
-  }
+/// The per-record step every sequential loop shares: a PEER_INDEX_TABLE
+/// replaces the peer table, any other record goes to the one decoder.
+void decode_record(const RecordView& record,
+                   std::vector<bgp::VantagePointId>& peer_table,
+                   UpdateSink& sink, RowScratch& scratch) {
+  if (is_peer_index_table(record))
+    peer_table = decode_peer_index_table(record);
+  else
+    decode_data_record(record, peer_table, sink, scratch);
 }
 
-/// Strict decode of one in-memory image: zero-copy framing, same errors
-/// and counters as decode_strict_stream.
-void decode_strict_image(std::span<const std::uint8_t> data, EntrySink& sink,
-                         DecodeReport& report) {
+/// Strict decode: the first malformed record throws.  `next` frames the
+/// next record (StrictFramer over an image, or MrtReader::next_view
+/// record by record through one scratch body, bounded memory on any
+/// stream length) and returns false at a clean end.
+template <typename Next>
+void decode_strict(Next next, UpdateSink& sink, DecodeReport& report) {
   std::vector<bgp::VantagePointId> peer_table;
-  StrictFramer framer(data);
   RecordView record;
   RowScratch scratch;
-  while (framer.next(record)) {
-    if (is_peer_index_table(record))
-      peer_table = decode_peer_index_table(record);
-    else
-      decode_data_record(record, peer_table, sink, scratch);
+  while (next(record)) {
+    decode_record(record, peer_table, sink, scratch);
     ++report.records_ok;
   }
 }
@@ -305,18 +298,15 @@ void decode_strict_image(std::span<const std::uint8_t> data, EntrySink& sink,
 /// Tolerant decode of one in-memory image.  Rows decoded before a
 /// mid-record failure stay emitted: the sink sees each row as soon as it
 /// is decoded.
-void decode_tolerant_image(std::span<const std::uint8_t> data, EntrySink& sink,
-                           const DecodeOptions& options, DecodeReport& report) {
+void decode_tolerant(std::span<const std::uint8_t> data, UpdateSink& sink,
+                     const DecodeOptions& options, DecodeReport& report) {
   std::vector<bgp::VantagePointId> peer_table;
   TolerantFramer framer(data, options, report);
   TolerantFramer::Framed framed;
   RowScratch scratch;
   while (framer.next(framed)) {
     try {
-      if (is_peer_index_table(framed.record))
-        peer_table = decode_peer_index_table(framed.record);
-      else
-        decode_data_record(framed.record, peer_table, sink, scratch);
+      decode_record(framed.record, peer_table, sink, scratch);
       ++report.records_ok;
     } catch (const MrtError& error) {
       record_body_failure(report, framed, error.what());
@@ -326,44 +316,59 @@ void decode_tolerant_image(std::span<const std::uint8_t> data, EntrySink& sink,
   check_final_budget(report, options);
 }
 
-void decode_image(std::span<const std::uint8_t> data, EntrySink& sink,
-                  const DecodeOptions& options, DecodeReport& report) {
-  if (options.tolerant())
-    decode_tolerant_image(data, sink, options, report);
-  else
-    decode_strict_image(data, sink, report);
+/// Runs `decode` against a fresh report and writes it to `report` (when
+/// non-null) also on throw, so diagnostics survive hard failures.
+template <typename Decode>
+void reporting(DecodeReport* report, Decode decode) {
+  DecodeReport local;
+  try {
+    decode(local);
+  } catch (...) {
+    if (report) *report = std::move(local);
+    throw;
+  }
+  if (report) *report = std::move(local);
 }
 
 }  // namespace
 
+void decode_update_stream(const ByteSource& source, UpdateSink& sink,
+                          const DecodeOptions& options, DecodeReport* report) {
+  reporting(report, [&](DecodeReport& local) {
+    if (options.tolerant()) {
+      decode_tolerant(source.data(), sink, options, local);
+    } else {
+      StrictFramer framer(source.data());
+      decode_strict([&](RecordView& record) { return framer.next(record); },
+                    sink, local);
+    }
+  });
+}
+
+void decode_update_stream(std::istream& in, UpdateSink& sink,
+                          const DecodeOptions& options, DecodeReport* report) {
+  if (options.tolerant()) {
+    // Resync needs random access to the whole image; buffer first.
+    decode_update_stream(BufferSource(slurp_stream(in)), sink, options,
+                         report);
+    return;
+  }
+  reporting(report, [&](DecodeReport& local) {
+    MrtReader reader(in);
+    decode_strict(
+        [&](RecordView& record) { return reader.next_view(record); }, sink,
+        local);
+  });
+}
+
 void decode_rib_stream(const ByteSource& source, EntrySink& sink,
                        const DecodeOptions& options, DecodeReport* report) {
-  DecodeReport local;
-  try {
-    decode_image(source.data(), sink, options, local);
-    if (report) *report = std::move(local);
-  } catch (...) {
-    if (report) *report = std::move(local);
-    throw;
-  }
+  decode_update_stream(source, sink, options, report);
 }
 
 void decode_rib_stream(std::istream& in, EntrySink& sink,
                        const DecodeOptions& options, DecodeReport* report) {
-  if (options.tolerant()) {
-    // Resync needs random access to the whole image; buffer first.
-    const BufferSource source(slurp_stream(in));
-    decode_rib_stream(source, sink, options, report);
-    return;
-  }
-  DecodeReport local;
-  try {
-    decode_strict_stream(in, sink, local);
-    if (report) *report = std::move(local);
-  } catch (...) {
-    if (report) *report = std::move(local);
-    throw;
-  }
+  decode_update_stream(in, sink, options, report);
 }
 
 }  // namespace bgpintent::mrt

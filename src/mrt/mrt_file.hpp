@@ -104,9 +104,10 @@ class MrtReader {
 /// scratch row, stream order) without materializing a RibEntry vector:
 /// RIB snapshot records are joined with their PEER_INDEX_TABLE; BGP4MP
 /// updates contribute one row per announced prefix.  Unknown record types
-/// are skipped.  This is the entry point behind core::MrtIngest and
-/// StreamEngine::prime, serve's RIB priming (docs/PERFORMANCE.md); record
-/// bodies are parsed as zero-copy views into the source image.
+/// are skipped.  This is decode_update_stream (update_stream.hpp) seen
+/// through an EntrySink: the same loops and the same record decoder, with
+/// withdrawals dropped.  Record bodies are parsed as zero-copy views into
+/// the source image.
 ///
 /// Strict mode (the default DecodeOptions) throws MrtError on the first
 /// malformed record.  Tolerant mode skips malformed records, resynchronizes

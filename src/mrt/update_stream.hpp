@@ -1,67 +1,30 @@
 // Streaming decode of a BGP4MP update firehose.
 //
-// decode_rib_stream (mrt_file.hpp) flattens everything to announced rows —
-// the right shape for batch RIB ingest, where withdrawals do not exist.
-// A live collector stream is different: BGP4MP UPDATE messages carry
-// *withdrawn* prefixes alongside announcements, and consumers like the
-// sliding-window classifier (src/stream/) need both, each stamped with the
-// record's collector timestamp so the window can advance.
-//
-// UpdateSink is the update-shaped sibling of EntrySink: one callback per
-// announced prefix (the same reused scratch row contract) plus one per
-// withdrawn prefix.  Non-BGP4MP records in the stream — RIB snapshot rows
-// a collector may interleave, or a priming TABLE_DUMP_V2 dump concatenated
-// in front of the updates — are decoded through the existing
-// decode_data_record unit and surface as announcements, so a stream source
-// accepts exactly the record mix real archives contain.
-//
-// Framing reuses StrictFramer / TolerantFramer byte for byte: strict mode
-// throws at the first malformed record, tolerant mode skips + resyncs
-// under the same error budgets, and the DecodeReport outcome (also written
-// on throw) matches decode_rib_stream semantics exactly
-// (docs/ROBUSTNESS.md, docs/STREAMING.md).
+// A live collector stream carries *withdrawn* prefixes alongside
+// announcements, and consumers like the sliding-window classifier
+// (src/stream/) need both, each stamped with the record's collector
+// timestamp so the window can advance.  decode_update_stream hands both to
+// an UpdateSink (framing.hpp).  It is the same decode as decode_rib_stream
+// (mrt_file.hpp), whose EntrySink is an UpdateSink that drops withdrawals:
+// one record decoder, one loop per framer, the same DecodeReport outcome
+// (also written on throw) and the same strict/tolerant semantics
+// (docs/ROBUSTNESS.md, docs/STREAMING.md).  RIB snapshot rows a collector
+// interleaves, or a priming TABLE_DUMP_V2 dump concatenated in front of
+// the updates, surface as announcements, so a stream source accepts
+// exactly the record mix real archives contain.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 
-#include "bgp/route.hpp"
 #include "mrt/decode.hpp"
 #include "mrt/framing.hpp"
 #include "mrt/source.hpp"
 
 namespace bgpintent::mrt {
 
-/// Consumer of a decoded update stream, in stream order.  `entry` is a
-/// scratch row reused across calls, fully (re)assigned before each call
-/// and only valid until on_announce returns — copy or steal what outlives
-/// the call (the EntrySink contract).  `timestamp` is the MRT record's
-/// collector timestamp (seconds since epoch).
-class UpdateSink {
- public:
-  virtual void on_announce(bgp::RibEntry& entry, std::uint32_t timestamp) = 0;
-  virtual void on_withdraw(const bgp::VantagePointId& peer,
-                           const bgp::Prefix& prefix,
-                           std::uint32_t timestamp) = 0;
-
- protected:
-  ~UpdateSink() = default;
-};
-
-/// Decodes one non-PEER_INDEX_TABLE record of an update stream into
-/// `sink`.  BGP4MP MESSAGE_AS4 records emit their withdrawals first, then
-/// one announcement per announced prefix (wire order within each list);
-/// TABLE_DUMP / TABLE_DUMP_V2 rows emit as announcements stamped with the
-/// record timestamp; state changes and unknown types are skipped.  Pure
-/// function of (record, peer_table), like decode_data_record.
-void decode_update_record(const RecordView& record,
-                          const std::vector<bgp::VantagePointId>& peer_table,
-                          UpdateSink& sink, RowScratch& scratch);
-
 /// Streams a whole update source into `sink`.  Strict/tolerant semantics,
 /// error budgets, and the DecodeReport outcome (also written on throw)
-/// match decode_rib_stream exactly — the two share the framers and the
-/// per-record decode units.
+/// are decode_rib_stream's: the two run the same decode loops.
 void decode_update_stream(const ByteSource& source, UpdateSink& sink,
                           const DecodeOptions& options = {},
                           DecodeReport* report = nullptr);

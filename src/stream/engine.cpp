@@ -4,7 +4,6 @@
 #include <istream>
 #include <stdexcept>
 
-#include "mrt/mrt_file.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/image.hpp"
 
@@ -33,54 +32,50 @@ class StreamEngine::IngestSink final : public mrt::UpdateSink {
   StreamEngine* engine_;
 };
 
-void StreamEngine::ingest(const mrt::ByteSource& source,
-                          const mrt::DecodeOptions& options,
-                          mrt::DecodeReport* report) {
+template <typename Input>
+void StreamEngine::ingest_input(Input& input, const mrt::DecodeOptions& options,
+                                mrt::DecodeReport* report) {
   IngestSink sink(*this);
   mrt::DecodeReport local;
-  try {
-    mrt::decode_update_stream(source, sink, options, &local);
-  } catch (...) {
+  const auto finish = [&] {
     std::lock_guard<std::mutex> lock(mutex_);
     fold_decode_locked(local.records_ok, local.records_skipped);
     reclassify_locked();
     if (report) *report = std::move(local);
+  };
+  try {
+    mrt::decode_update_stream(input, sink, options, &local);
+  } catch (...) {
+    finish();
     throw;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  fold_decode_locked(local.records_ok, local.records_skipped);
-  reclassify_locked();
-  if (report) *report = std::move(local);
+  finish();
+}
+
+void StreamEngine::ingest(const mrt::ByteSource& source,
+                          const mrt::DecodeOptions& options,
+                          mrt::DecodeReport* report) {
+  ingest_input(source, options, report);
 }
 
 void StreamEngine::ingest(std::istream& in, const mrt::DecodeOptions& options,
                           mrt::DecodeReport* report) {
-  IngestSink sink(*this);
-  mrt::DecodeReport local;
-  try {
-    mrt::decode_update_stream(in, sink, options, &local);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fold_decode_locked(local.records_ok, local.records_skipped);
-    reclassify_locked();
-    if (report) *report = std::move(local);
-    throw;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  fold_decode_locked(local.records_ok, local.records_skipped);
-  reclassify_locked();
-  if (report) *report = std::move(local);
+  ingest_input(in, options, report);
 }
 
 void StreamEngine::prime(const mrt::ByteSource& rib,
                          const mrt::DecodeOptions& options,
                          mrt::DecodeReport* report) {
-  class Sink final : public mrt::EntrySink {
+  // Every row lands at the window's latest timestamp; a RIB dump has no
+  // withdrawals, and those of interleaved BGP4MP records are dropped.
+  class Sink final : public mrt::UpdateSink {
    public:
     explicit Sink(WindowClassifier& window) noexcept : window_(&window) {}
-    void on_entry(bgp::RibEntry& entry) override {
+    void on_announce(bgp::RibEntry& entry, std::uint32_t) override {
       window_->announce(entry, window_->latest_timestamp());
     }
+    void on_withdraw(const bgp::VantagePointId&, const bgp::Prefix&,
+                     std::uint32_t) override {}
 
    private:
     WindowClassifier* window_;
@@ -97,7 +92,7 @@ void StreamEngine::prime(const mrt::ByteSource& rib,
     if (report) *report = std::move(local);
   };
   try {
-    mrt::decode_rib_stream(rib, sink, options, &local);
+    mrt::decode_update_stream(rib, sink, options, &local);
   } catch (...) {
     finish();
     throw;

@@ -226,6 +226,10 @@ class StreamEngine {
 
  private:
   class IngestSink;
+  /// The body of both ingest overloads (a byte image or an istream).
+  template <typename Input>
+  void ingest_input(Input& input, const mrt::DecodeOptions& options,
+                    mrt::DecodeReport* report);
   /// Replay (stream/recovery.cpp) applies journal records through the
   /// engine's internals without re-journaling them.
   friend class JournalReplayer;

@@ -46,12 +46,13 @@ constexpr std::size_t kFooterPayloadBytes = 17;
 }
 
 /// One segment file parsed frame by frame.  `on_record` (may be null) sees
-/// every non-footer payload in order and returns false to stop the walk.
+/// every record payload the segment vouches for, in order, and returns
+/// false to stop the walk.
 struct ParsedSegment {
   std::uint64_t first_record = 0;  ///< from the header
-  std::uint64_t records = 0;       ///< valid records walked
+  std::uint64_t records = 0;       ///< valid records (delivered, on a stop)
   std::uint64_t valid_bytes = 0;   ///< prefix ending after the last valid frame
-  std::uint64_t footer_hash = 0;   ///< chain over the walked records
+  std::uint64_t footer_hash = 0;   ///< chain over the verified records
   bool sealed = false;
   bool torn = false;
   bool stopped = false;  ///< on_record returned false
@@ -97,34 +98,43 @@ using FrameSink =
   parsed.first_record = first_record;
   parsed.valid_bytes = kSegmentHeaderBytes;
 
+  // Verify every frame and the seal before any record leaves the segment:
+  // a frame's checksum covers only itself, and only the footer vouches for
+  // the order and identity of the frames it seals.
   std::uint64_t pos = kSegmentHeaderBytes;
   while (pos < bytes.size()) {
     if (parsed.sealed) {
       tear(pos, "bytes after segment footer");
-      return parsed;
+      break;
     }
     const FrameRead frame = read_frame(bytes, pos);
     if (!frame.error.empty()) {
       tear(pos, frame.error);
-      return parsed;
+      break;
     }
     const std::uint64_t next = pos + kFrameHeaderBytes + frame.payload.size();
     if (frame.payload[0] == static_cast<std::uint8_t>(RecordType::kFooter)) {
+      std::string broken_seal;
       if (frame.payload.size() != kFooterPayloadBytes) {
-        tear(pos, "malformed segment footer");
-        return parsed;
+        broken_seal = "malformed segment footer";
+      } else {
+        wire::Cursor footer(frame.payload.subspan(1), "journal");
+        const std::uint64_t count = footer.get<std::uint64_t>();
+        if (count != parsed.records)
+          broken_seal = util::format(
+              "footer claims %llu records, segment frames %llu",
+              static_cast<unsigned long long>(count),
+              static_cast<unsigned long long>(parsed.records));
+        else if (footer.get<std::uint64_t>() != parsed.footer_hash)
+          broken_seal = "footer hash mismatch";
       }
-      wire::Cursor footer(frame.payload.subspan(1), "journal");
-      const std::uint64_t count = footer.get<std::uint64_t>();
-      if (count != parsed.records) {
-        tear(pos, util::format(
-                      "footer claims %llu records, segment frames %llu",
-                      static_cast<unsigned long long>(count),
-                      static_cast<unsigned long long>(parsed.records)));
-        return parsed;
-      }
-      if (footer.get<std::uint64_t>() != parsed.footer_hash) {
-        tear(pos, "footer hash mismatch");
+      if (!broken_seal.empty()) {
+        // A seal that disagrees with its frames vouches for none of them:
+        // the segment contributes no record, as with a corrupt header.
+        tear(pos, broken_seal);
+        parsed.records = 0;
+        parsed.valid_bytes = 0;
+        parsed.footer_hash = 0;
         return parsed;
       }
       parsed.sealed = true;
@@ -132,14 +142,29 @@ using FrameSink =
       parsed.valid_bytes = pos;
       continue;
     }
-    if (on_record && !on_record(pos, frame.payload)) {
-      parsed.stopped = true;
-      return parsed;
-    }
     parsed.footer_hash = chain_footer_hash(parsed.footer_hash, frame.checksum);
     ++parsed.records;
     pos = next;
     parsed.valid_bytes = pos;
+  }
+  if (!on_record) return parsed;
+
+  // Hand the verified records over; their frames need no second check.
+  pos = kSegmentHeaderBytes;
+  for (std::uint64_t i = 0; i < parsed.records; ++i) {
+    wire::Cursor frame(bytes.subspan(pos, kFrameHeaderBytes), "journal");
+    const std::uint64_t length = frame.get<std::uint32_t>();
+    if (!on_record(pos, bytes.subspan(pos + kFrameHeaderBytes, length))) {
+      // Stopped inside the verified prefix: what lies past it is unread.
+      parsed.records = i;
+      parsed.valid_bytes = pos;
+      parsed.sealed = false;
+      parsed.torn = false;
+      parsed.torn_detail.clear();
+      parsed.stopped = true;
+      return parsed;
+    }
+    pos += kFrameHeaderBytes + length;
   }
   return parsed;
 }

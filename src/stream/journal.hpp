@@ -281,9 +281,11 @@ using RecordSink =
 
 /// Scans every journal-*.seg of `directory` in record order, verifying
 /// headers, frame checksums, footers, and cross-segment record-index
-/// continuity.  Missing directories scan as empty.  The sink may be null
-/// (pure validation scan).  A segment of another format version throws
-/// JournalError even in a tolerant scan.
+/// continuity.  A segment's records reach the sink only after its footer
+/// (if any) verified; a sealed segment whose footer disagrees with its
+/// frames contributes no records.  Missing directories scan as empty.
+/// The sink may be null (pure validation scan).  A segment of another
+/// format version throws JournalError even in a tolerant scan.
 [[nodiscard]] ScanSummary scan_journal(const std::string& directory,
                                        const ScanOptions& options = {},
                                        const RecordSink& sink = nullptr);

@@ -5,9 +5,11 @@
 // StreamEngine:
 //
 //   1. Scan the segments (stream/journal.hpp).  Tolerant recovery
-//      truncates the journal at the first torn or corrupt frame — the
-//      valid prefix survives, everything after is physically removed and
-//      counted in torn_tail_truncated; strict recovery refuses instead.
+//      truncates the journal at the first torn or corrupt frame, or at the
+//      first record of a sealed segment whose footer disagrees with its
+//      frames — the valid prefix survives, everything after is physically
+//      removed and counted in torn_tail_truncated; strict recovery refuses
+//      instead.
 //   2. Pick the newest checkpoint covering <= the valid record count and
 //      restore it (falling back to older checkpoints, then to empty, when
 //      a checkpoint file itself is damaged — tolerant only).

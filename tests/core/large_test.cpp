@@ -36,6 +36,17 @@ TEST(LargeObservationIndex, PoolsOverGamma) {
   EXPECT_FALSE(index.alpha_on_any_path(777));
 }
 
+TEST(LargeObservationIndex, ValueCountIsExact) {
+  // Two distinct values that collide when gamma is XORed into the 64-bit
+  // (alpha, beta) key at bit 17: each must still count once.
+  std::vector<bgp::RibEntry> entries;
+  entries.push_back(
+      entry(61, {61, 1000, 201}, {{1000, 500, 0}, {1001, 500, 32768}}));
+  const auto index = LargeObservationIndex::from_entries(entries);
+  EXPECT_EQ(index.all().size(), 2u);
+  EXPECT_EQ(index.value_count(), 2u);
+}
+
 TEST(LargeObservationIndex, FindMiss) {
   const auto index =
       LargeObservationIndex::from_entries(std::vector<bgp::RibEntry>{});

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bgp/route.hpp"
@@ -241,6 +243,171 @@ TEST(UpdateStreamFault, StrictDecodeThrowsOnTruncation) {
   Recorder recorder;
   EXPECT_THROW(decode_update_stream(BufferSource{corrupted.bytes}, recorder),
                MrtError);
+}
+
+// --- the RIB view and the update view of one stream ---------------------
+
+constexpr std::size_t kMixedLegacyRows = 24;
+constexpr std::size_t kMixedUpdates = 60;  // every third one a withdrawal
+
+/// One stream holding every record shape the decoder reads: a TABLE_DUMP_V2
+/// snapshot of a small scenario, legacy TABLE_DUMP rows, BGP4MP
+/// announcements with a withdrawal every third update, and session state
+/// changes.
+std::vector<std::uint8_t> mixed_stream(std::size_t* rib_rows = nullptr) {
+  routing::ScenarioConfig cfg;
+  cfg.topology.seed = 9;
+  cfg.topology.tier1_count = 4;
+  cfg.topology.tier2_count = 10;
+  cfg.topology.stub_count = 24;
+  cfg.vantage_point_count = 6;
+  const auto scenario = routing::Scenario::build(cfg);
+  const auto entries = scenario.entries();
+  if (rib_rows != nullptr) *rib_rows = entries.size();
+
+  std::ostringstream out;
+  MrtWriter writer(out);
+  writer.write_rib_snapshot(entries, 0x7f000001, 900);
+  writer.write_legacy_rib(
+      {entries.begin(),
+       entries.begin() + static_cast<std::ptrdiff_t>(kMixedLegacyRows)},
+      950);
+  for (std::size_t i = 0; i < kMixedUpdates; ++i) {
+    const bgp::RibEntry& entry = entries[i * 7 % entries.size()];
+    const auto timestamp = static_cast<std::uint32_t>(1000 + i);
+    if (i % 3 == 2)
+      writer.write_withdraw(entry.vantage_point,
+                            std::span(&entry.route.prefix, 1), timestamp);
+    else
+      writer.write_update(entry.vantage_point, entry.route, timestamp);
+    if (i % 10 == 4) writer.write_state_change(entry.vantage_point, 6, 1,
+                                               timestamp);
+  }
+  return bytes_of(out);
+}
+
+/// What one decode call produced, thrown or not.
+struct ViewOutcome {
+  std::vector<bgp::RibEntry> rows;
+  std::size_t withdrawals = 0;
+  DecodeReport report;
+  bool threw = false;
+  std::string error;
+};
+
+class RowView final : public EntrySink {
+ public:
+  explicit RowView(ViewOutcome& outcome) : outcome_(&outcome) {}
+  void on_entry(bgp::RibEntry& entry) override {
+    outcome_->rows.push_back(entry);
+  }
+
+ private:
+  ViewOutcome* outcome_;
+};
+
+class AnnounceView final : public UpdateSink {
+ public:
+  explicit AnnounceView(ViewOutcome& outcome) : outcome_(&outcome) {}
+  void on_announce(bgp::RibEntry& entry, std::uint32_t) override {
+    outcome_->rows.push_back(entry);
+  }
+  void on_withdraw(const bgp::VantagePointId&, const bgp::Prefix&,
+                   std::uint32_t) override {
+    ++outcome_->withdrawals;
+  }
+
+ private:
+  ViewOutcome* outcome_;
+};
+
+/// Runs one decode entry point over `bytes`, from the image or from an
+/// istream, through the RIB view (an EntrySink) or the update view.
+ViewOutcome decode_view(std::span<const std::uint8_t> bytes,
+                        const DecodeOptions& options, bool update_view,
+                        bool from_istream) {
+  ViewOutcome outcome;
+  RowView rows(outcome);
+  AnnounceView updates(outcome);
+  const BufferSource image{std::vector<std::uint8_t>(bytes.begin(), bytes.end())};
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  try {
+    if (update_view && from_istream)
+      decode_update_stream(in, updates, options, &outcome.report);
+    else if (update_view)
+      decode_update_stream(image, updates, options, &outcome.report);
+    else if (from_istream)
+      decode_rib_stream(in, rows, options, &outcome.report);
+    else
+      decode_rib_stream(image, rows, options, &outcome.report);
+  } catch (const MrtError& error) {
+    outcome.threw = true;
+    outcome.error = error.what();
+  }
+  return outcome;
+}
+
+void expect_same_outcome(const ViewOutcome& expected, const ViewOutcome& got,
+                         const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.threw, expected.threw);
+  EXPECT_EQ(got.error, expected.error);
+  ASSERT_EQ(got.rows.size(), expected.rows.size());
+  for (std::size_t i = 0; i < expected.rows.size(); ++i)
+    ASSERT_TRUE(got.rows[i] == expected.rows[i]) << "row " << i;
+  const DecodeReport& a = expected.report;
+  const DecodeReport& b = got.report;
+  EXPECT_EQ(b.records_ok, a.records_ok);
+  EXPECT_EQ(b.records_skipped, a.records_skipped);
+  EXPECT_EQ(b.bytes_skipped, a.bytes_skipped);
+  EXPECT_EQ(b.resyncs, a.resyncs);
+  EXPECT_EQ(b.resync_distance_log2, a.resync_distance_log2);
+  EXPECT_TRUE(b.errors == a.errors);
+  EXPECT_EQ(b.budget_exhausted, a.budget_exhausted);
+}
+
+/// decode_rib_stream and decode_update_stream run one decoder: on any input
+/// the RIB rows equal the update view's announcements, in order, with equal
+/// reports and the same throw.  Strict decoding off an istream agrees with
+/// strict decoding of the image.
+void expect_views_agree(std::span<const std::uint8_t> bytes,
+                        const DecodeOptions& options) {
+  const ViewOutcome rib = decode_view(bytes, options, false, false);
+  expect_same_outcome(rib, decode_view(bytes, options, true, false),
+                      "update view of the image");
+  if (options.tolerant()) return;
+  expect_same_outcome(rib, decode_view(bytes, options, false, true),
+                      "RIB view of an istream");
+  expect_same_outcome(rib, decode_view(bytes, options, true, true),
+                      "update view of an istream");
+}
+
+TEST(UpdateStream, RibAndUpdateViewsOfOneStreamAgree) {
+  std::size_t rib_rows = 0;
+  const std::vector<std::uint8_t> clean = mixed_stream(&rib_rows);
+  DecodeOptions tolerant;
+  tolerant.mode = DecodeMode::kTolerant;
+
+  // The clean stream decodes whole in both views.
+  const ViewOutcome updates = decode_view(clean, {}, true, false);
+  EXPECT_FALSE(updates.threw) << updates.error;
+  EXPECT_EQ(updates.withdrawals, kMixedUpdates / 3);
+  EXPECT_EQ(updates.rows.size(),
+            rib_rows + kMixedLegacyRows + kMixedUpdates * 2 / 3);
+  for (const DecodeOptions& options : {DecodeOptions{}, tolerant}) {
+    SCOPED_TRACE(options.tolerant() ? "clean tolerant" : "clean strict");
+    expect_views_agree(clean, options);
+  }
+
+  for (const CorruptionKind kind : kAllCorruptionKinds)
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      const CorruptionResult corrupted = corrupt_mrt(clean, kind, seed);
+      for (const DecodeOptions& options : {DecodeOptions{}, tolerant}) {
+        SCOPED_TRACE(corrupted.description +
+                     (options.tolerant() ? " tolerant" : " strict"));
+        expect_views_agree(corrupted.bytes, options);
+      }
+    }
 }
 
 }  // namespace

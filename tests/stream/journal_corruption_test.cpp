@@ -1,8 +1,9 @@
 // Journal corruption fuzz sweep (docs/ROBUSTNESS.md): seeded
 // truncation / bit-flip / splice / length-lie damage on journal segments,
-// plus targeted checksum-field, footer-hash and whole-segment faults.  The
-// contract under test: tolerant recovery keeps every record before the
-// first damaged frame and physically truncates the rest; strict recovery
+// plus targeted checksum-field, footer (hash and count) and whole-segment
+// faults.  The contract under test: tolerant recovery keeps every record
+// before the first damaged frame, or before a segment whose seal disagrees
+// with its frames, and physically truncates the rest; strict recovery
 // refuses with an actionable error.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include "stream/journal.hpp"
 #include "stream/recovery.hpp"
 #include "stream/synth.hpp"
+#include "util/checksum.hpp"
 #include "util/strings.hpp"
 
 namespace bgpintent::stream {
@@ -242,7 +244,9 @@ TEST(JournalCorruption, BadChecksumInAFrameHeaderIsDetected) {
 
 // Two whole frames of a sealed segment trade places: each still passes its
 // own checksum and the record count is unchanged, so only the footer hash,
-// which chains the frame checksums in order, can tell.
+// which chains the frame checksums in order, can tell.  Only the seal
+// vouches for the order of its frames, so the segment contributes none of
+// its records: the valid prefix ends at its first record.
 TEST(JournalCorruption, SwappedFramesBreakTheFooterHash) {
   const std::size_t middle = base().scan.segments.size() / 2;
   const SegmentInfo& segment = base().scan.segments[middle];
@@ -270,12 +274,74 @@ TEST(JournalCorruption, SwappedFramesBreakTheFooterHash) {
   EXPECT_TRUE(scan.torn);
   EXPECT_NE(scan.torn_detail.find("footer hash"), std::string::npos)
       << scan.torn_detail;
-  // Every frame of the damaged segment still reads as a valid record.
-  EXPECT_EQ(scan.records, segment.first_record + segment.records);
+  EXPECT_EQ(scan.records, segment.first_record);
+  expect_tolerant_keeps_prefix(dir, segment.first_record, "swapped");
 
   CaseDir strict_dir("swapped_strict");
   swap_frames(strict_dir);
   expect_strict_refuses(strict_dir, "swapped-strict");
+}
+
+/// Rewrites the record count in `segment`'s footer and re-checksums the
+/// footer frame, so every frame still passes its own checksum.
+void lie_about_footer_count(const CaseDir& dir, const SegmentInfo& segment) {
+  const fs::path target = dir.path / fs::path(segment.path).filename();
+  std::vector<std::uint8_t> image = read_file(target);
+  const std::vector<mrt::RecordSpan> spans = index_segment_frames(image);
+  const mrt::RecordSpan& footer = spans.back();
+  const std::size_t payload = footer.offset + kFrameHeaderBytes;
+  ASSERT_EQ(image[payload], static_cast<std::uint8_t>(RecordType::kFooter));
+  image[payload + 1] ^= 0x01;  // count u64 LE, low byte
+  const std::uint64_t checksum = util::xxh64(
+      std::span(image).subspan(payload, footer.length - kFrameHeaderBytes));
+  for (std::size_t i = 0; i < 8; ++i)
+    image[footer.offset + 4 + i] =
+        static_cast<std::uint8_t>(checksum >> (8 * i));
+  write_file(target, image);
+}
+
+// A seal whose record count lies disagrees with its frames like a broken
+// hash does: the segment contributes none of its records.
+TEST(JournalCorruption, LyingFooterCountDropsTheWholeSegment) {
+  const SegmentInfo& segment =
+      base().scan.segments[base().scan.segments.size() / 2];
+  ASSERT_TRUE(segment.sealed);
+
+  CaseDir dir("lyingcount");
+  lie_about_footer_count(dir, segment);
+  const ScanSummary scan = scan_journal(dir.path.string());
+  EXPECT_TRUE(scan.torn);
+  EXPECT_NE(scan.torn_detail.find("footer claims"), std::string::npos)
+      << scan.torn_detail;
+  EXPECT_EQ(scan.records, segment.first_record);
+  expect_tolerant_keeps_prefix(dir, segment.first_record, "lyingcount");
+
+  CaseDir strict_dir("lyingcount_strict");
+  lie_about_footer_count(strict_dir, segment);
+  expect_strict_refuses(strict_dir, "lyingcount-strict");
+}
+
+// No record of a dropped segment feeds recovery, the config in record 0
+// included: with the first segment's seal broken, the caller's config wins.
+TEST(JournalCorruption, ADroppedFirstSegmentYieldsNoConfig) {
+  const SegmentInfo& segment = base().scan.segments[0];
+  ASSERT_TRUE(segment.sealed);
+  CaseDir dir("lyingfirst");
+  lie_about_footer_count(dir, segment);
+
+  RecoveryOptions options;
+  options.config.window_epochs = 5;  // the journal's record 0 says 168
+  RecoveryReport report;
+  std::unique_ptr<StreamEngine> engine;
+  ASSERT_NO_THROW(engine = recover_stream(case_config(dir), options, &report));
+  EXPECT_EQ(report.journal_records, 0u);
+  EXPECT_FALSE(report.config_overridden);
+  EXPECT_EQ(engine->config().window_epochs, 5u);
+  // The writer resumed in a fresh segment 0, headed by the caller's config.
+  engine->detach_journal();
+  const ScanSummary after = scan_journal(dir.path.string());
+  EXPECT_FALSE(after.torn) << after.torn_detail;
+  EXPECT_EQ(after.records, 1u);
 }
 
 TEST(JournalCorruption, MissingMiddleSegmentBreaksContinuity) {

@@ -148,7 +148,7 @@ TEST(JournalRecords, MalformedPayloadsThrow) {
   // Truncated: an epoch record missing its u64.
   std::vector<std::uint8_t> truncated;
   encode_epoch_record(truncated, 42);
-  truncated.resize(truncated.size() - 2);
+  truncated.erase(truncated.end() - 2, truncated.end());
   EXPECT_THROW((void)decode_record(truncated), JournalError);
   // Trailing garbage after a valid record.
   std::vector<std::uint8_t> trailing;
