@@ -224,17 +224,29 @@ void encode_bgp_update(ByteWriter& out, const BgpUpdate& update) {
 }
 
 BgpUpdate decode_bgp_message(ByteReader& in, bool asn16) {
+  BgpUpdate update;
+  decode_bgp_message(in, asn16, update);
+  return update;
+}
+
+void decode_bgp_message(ByteReader& in, bool asn16, BgpUpdate& update) {
   for (int i = 0; i < 16; ++i)
     if (in.get_u8() != 0xff) throw MrtError("bad BGP marker");
   const std::uint16_t total = in.get_u16();
   if (total < kBgpHeaderSize) throw MrtError("bad BGP message length");
   const std::uint8_t type = in.get_u8();
   ByteReader body = in.sub_reader(total - kBgpHeaderSize);
-
-  BgpUpdate update;
-  if (type == kBgpMessageKeepalive) return update;
-  if (type != kBgpMessageUpdate)
+  if (type != kBgpMessageKeepalive && type != kBgpMessageUpdate)
     throw MrtError("unexpected BGP message type " + std::to_string(type));
+
+  update.withdrawn.clear();
+  update.announced.clear();
+  if (type == kBgpMessageKeepalive) {
+    // No attribute block: reset the attributes as an empty block does.
+    ByteReader none(std::span<const std::uint8_t>{});
+    decode_path_attributes(none, 0, asn16, update.attrs);
+    return;
+  }
 
   const std::uint16_t withdrawn_len = body.get_u16();
   ByteReader withdrawn = body.sub_reader(withdrawn_len);
@@ -242,11 +254,10 @@ BgpUpdate decode_bgp_message(ByteReader& in, bool asn16) {
     update.withdrawn.push_back(decode_nlri_prefix(withdrawn));
 
   const std::uint16_t attr_len = body.get_u16();
-  update.attrs = decode_path_attributes(body, attr_len, asn16);
+  decode_path_attributes(body, attr_len, asn16, update.attrs);
 
   while (!body.exhausted())
     update.announced.push_back(decode_nlri_prefix(body));
-  return update;
 }
 
 }  // namespace bgpintent::mrt

@@ -81,6 +81,13 @@ void encode_bgp_update(ByteWriter& out, const BgpUpdate& update);
 /// UPDATE.  KEEPALIVEs yield an empty update.
 [[nodiscard]] BgpUpdate decode_bgp_message(ByteReader& in, bool asn16 = false);
 
+/// In-place variant: fully (re)assigns `update`, reusing its prefix lists
+/// and attribute buffers as decode_path_attributes' in-place overload
+/// does, so one BgpUpdate kept across records (RowScratch) decodes an
+/// update stream without allocating.  On throw `update` holds unspecified
+/// contents.  The returning variant above wraps this with a fresh object.
+void decode_bgp_message(ByteReader& in, bool asn16, BgpUpdate& update);
+
 /// NLRI helpers (prefix encoding is shared by UPDATE and TABLE_DUMP_V2).
 void encode_nlri_prefix(ByteWriter& out, const bgp::Prefix& prefix);
 [[nodiscard]] bgp::Prefix decode_nlri_prefix(ByteReader& in);

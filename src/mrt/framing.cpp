@@ -68,6 +68,7 @@ std::vector<bgp::VantagePointId> decode_peer_index_table(
 void decode_data_record(const RecordView& record,
                         const std::vector<bgp::VantagePointId>& peer_table,
                         UpdateSink& sink, RowScratch& scratch) {
+  PathAttributes& attrs = scratch.update.attrs;
   if (record.type == kTypeTableDumpV2 &&
       record.subtype == kSubtypeRibIpv4Unicast) {
     ByteReader body(record.body);
@@ -78,11 +79,11 @@ void decode_data_record(const RecordView& record,
       const std::uint16_t peer_idx = body.get_u16();
       body.skip(4);  // originated time
       const std::uint16_t attr_len = body.get_u16();
-      decode_path_attributes(body, attr_len, /*asn16=*/false, scratch.attrs);
+      decode_path_attributes(body, attr_len, /*asn16=*/false, attrs);
       if (peer_idx >= peer_table.size())
         throw MrtError("peer index out of range");
       scratch.row.vantage_point = peer_table[peer_idx];
-      fill_route(scratch.row.route, prefix, scratch.attrs);
+      fill_route(scratch.row.route, prefix, attrs);
       sink.on_announce(scratch.row, record.timestamp);
     }
   } else if (record.type == kTypeTableDump &&
@@ -98,8 +99,8 @@ void decode_data_record(const RecordView& record,
     scratch.row.vantage_point.address = body.get_u32();
     scratch.row.vantage_point.asn = body.get_u16();
     const std::uint16_t attr_len = body.get_u16();
-    decode_path_attributes(body, attr_len, /*asn16=*/true, scratch.attrs);
-    fill_route(scratch.row.route, bgp::Prefix(address, length), scratch.attrs);
+    decode_path_attributes(body, attr_len, /*asn16=*/true, attrs);
+    fill_route(scratch.row.route, bgp::Prefix(address, length), attrs);
     sink.on_announce(scratch.row, record.timestamp);
   } else if (record.type == kTypeBgp4mp &&
              (record.subtype == kSubtypeBgp4mpStateChange ||
@@ -116,12 +117,13 @@ void decode_data_record(const RecordView& record,
     if (afi != 1) return;  // IPv4 only
     peer.address = body.get_u32();
     body.skip(4);  // local IP
-    const BgpUpdate update = decode_bgp_message(body);
+    BgpUpdate& update = scratch.update;
+    decode_bgp_message(body, /*asn16=*/false, update);
     for (const bgp::Prefix& prefix : update.withdrawn)
       sink.on_withdraw(peer, prefix, record.timestamp);
     for (const bgp::Prefix& prefix : update.announced) {
       // The attribute block is shared by every announced prefix; each row
-      // copies it (exactly what the materializing reader paid).
+      // copies it into the row's warm buffers.
       scratch.row.vantage_point = peer;
       fill_route(scratch.row.route, prefix, update.attrs);
       sink.on_announce(scratch.row, record.timestamp);

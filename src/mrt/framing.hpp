@@ -106,14 +106,15 @@ class EntrySink : public UpdateSink {
 [[nodiscard]] std::vector<bgp::VantagePointId> decode_peer_index_table(
     const RecordView& record);
 
-/// Per-decode-loop scratch: the row handed to sinks plus the attribute
-/// block it is refilled from.  Both recycle their heap buffers across
+/// Per-decode-loop scratch: the row handed to sinks plus the UPDATE it is
+/// refilled from (a BGP4MP record decodes a whole message into it, a RIB
+/// row only its attribute block).  Both recycle their heap buffers across
 /// records, so a sink that does not move out of the row (the streaming
 /// ingest) reaches a steady state where decoding allocates nothing per
 /// record.  One instance per decode loop / worker thread.
 struct RowScratch {
   bgp::RibEntry row;
-  PathAttributes attrs;
+  BgpUpdate update;
 };
 
 /// Decodes one non-PEER_INDEX_TABLE record into `sink` via `scratch`:

@@ -41,6 +41,7 @@ void StreamEngine::ingest_input(Input& input, const mrt::DecodeOptions& options,
     std::lock_guard<std::mutex> lock(mutex_);
     fold_decode_locked(local.records_ok, local.records_skipped);
     reclassify_locked();
+    flush_journal_locked();
     if (report) *report = std::move(local);
   };
   try {
@@ -103,6 +104,7 @@ void StreamEngine::prime(const mrt::ByteSource& rib,
 void StreamEngine::record_decode(std::uint64_t ok, std::uint64_t skipped) {
   std::lock_guard<std::mutex> lock(mutex_);
   fold_decode_locked(ok, skipped);
+  flush_journal_locked();
 }
 
 std::uint64_t StreamEngine::announces() const {
@@ -116,12 +118,14 @@ void StreamEngine::announce(const bgp::RibEntry& entry,
   const std::uint32_t at =
       timestamp != 0 ? timestamp : window_.latest_timestamp();
   announce_locked(entry, at);
+  flush_journal_locked();
 }
 
 void StreamEngine::announce_locked(const bgp::RibEntry& entry,
                                    std::uint32_t timestamp) {
-  // Write-ahead: the update hits the journal before any state it may
-  // change becomes observable.
+  // Write-ahead: the update is journaled before any state it may change
+  // becomes observable (the frames reach write(2) before the events they
+  // cause publish, see reclassify_locked).
   if (journal_) {
     scratch_.clear();
     encode_announce_record(scratch_, entry.route.path,
@@ -216,8 +220,15 @@ void StreamEngine::reclassify_locked(bool force_marker) {
     encode_reclassify_record(scratch_, first_seq, changes.size(),
                              updates_since_reclassify_);
     journal_->append(scratch_);
+    // Write-ahead: every frame up to the pass marker is handed to the
+    // kernel before its events publish.
+    journal_->flush();
   }
   publish_locked(std::move(changes));
+}
+
+void StreamEngine::flush_journal_locked() {
+  if (journal_) journal_->flush();
 }
 
 void StreamEngine::publish_locked(std::vector<LabelChange>&& changes) {
@@ -284,6 +295,7 @@ void StreamEngine::attach_journal(std::unique_ptr<JournalWriter> writer,
     scratch_.clear();
     encode_config_record(scratch_, window_.config());
     journal_->append(scratch_);
+    journal_->flush();
   }
 }
 

@@ -62,7 +62,7 @@ struct EngineStats {
   std::size_t window_memory_bytes = 0;
   // Durability counters (zero on a journal-less engine).
   std::uint64_t journal_appends = 0;  ///< records appended this process
-  std::uint64_t journal_bytes = 0;    ///< journal bytes written this process
+  std::uint64_t journal_bytes = 0;    ///< journal bytes appended this process
   std::uint64_t recovered_events = 0; ///< events restored by crash recovery
   std::uint64_t torn_tail_truncated = 0;  ///< torn frames/segments dropped
 };
@@ -99,8 +99,17 @@ class StreamEngine {
   // --- Durability (stream/journal.hpp, stream/recovery.hpp) ---
 
   /// Attaches a write-ahead journal: every applied update, epoch advance,
-  /// label-change event, and reclassification pass is appended before the
-  /// events become visible to subscribers.  A fresh journal (next_record
+  /// label-change event, and reclassification pass is appended to it.
+  /// Frames collect in the writer's buffer (stream/journal.hpp), and the
+  /// engine hands them to write(2):
+  ///   - before any event enters the event log, published_seq() or the
+  ///     publish hook (write-ahead);
+  ///   - before ingest, announce, record_decode, reclassify, label_of,
+  ///     totals, label_snapshot, checkpoint_now, detach_journal or this
+  ///     call returns, when the call appended (return means handed over);
+  ///   - whenever the buffer passes its fixed size.
+  /// A failed write throws JournalError from the call that flushed,
+  /// before that call's events publish.  A fresh journal (next_record
   /// == 0) gets the WindowConfig as record 0.  When
   /// `checkpoint_interval_updates` is nonzero, a checkpoint is written
   /// into the journal directory every that-many applied updates.
@@ -246,6 +255,8 @@ class StreamEngine {
   /// the batch cadence does this so replay keeps identical boundaries).
   void reclassify_locked(bool force_marker = false);
   void publish_locked(std::vector<LabelChange>&& changes);
+  /// Hands the journal's buffered frames to write(2); no-op without one.
+  void flush_journal_locked();
   void fold_decode_locked(std::uint64_t records_ok,
                           std::uint64_t records_skipped);
   void write_checkpoint_locked();

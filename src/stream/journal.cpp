@@ -26,6 +26,9 @@ constexpr char kSegmentSuffix[] = ".seg";
 constexpr std::uint64_t kMaxFrameBytes = 64ull << 20;
 /// Footer payload: type byte + record count u64 + footer hash u64.
 constexpr std::size_t kFooterPayloadBytes = 17;
+/// The writer hands its buffer to write(2) once it holds this many bytes:
+/// about a thousand announce frames per call.
+constexpr std::size_t kFlushBytes = 64u << 10;
 
 [[nodiscard]] std::string errno_detail() {
   return std::strerror(errno) != nullptr ? std::strerror(errno) : "unknown";
@@ -322,9 +325,15 @@ void encode_decode_stats_record(std::vector<std::uint8_t>& out,
 }
 
 JournalRecord decode_record(std::span<const std::uint8_t> payload) {
+  JournalRecord record;
+  decode_record(payload, record);
+  return record;
+}
+
+void decode_record(std::span<const std::uint8_t> payload,
+                   JournalRecord& record) {
   if (payload.empty()) throw JournalError("empty journal record payload");
   wire::Cursor cursor(payload, "journal");
-  JournalRecord record;
   const std::uint8_t type = cursor.get<std::uint8_t>();
   switch (static_cast<RecordType>(type)) {
     case RecordType::kConfig:
@@ -334,11 +343,11 @@ JournalRecord decode_record(std::span<const std::uint8_t> payload) {
     case RecordType::kAnnounce: {
       record.type = RecordType::kAnnounce;
       record.timestamp = cursor.get<std::uint32_t>();
-      record.path = wire::get_aspath(cursor);
+      wire::get_aspath(cursor, record.path);
       const std::uint32_t communities = cursor.get<std::uint32_t>();
       if (communities > cursor.remaining() / sizeof(std::uint32_t))
         throw JournalError("journal community count exceeds payload");
-      record.communities.reserve(communities);
+      record.communities.clear();
       for (std::uint32_t i = 0; i < communities; ++i)
         record.communities.push_back(
             Community::from_wire(cursor.get<std::uint32_t>()));
@@ -379,7 +388,6 @@ JournalRecord decode_record(std::span<const std::uint8_t> payload) {
           util::format("unknown journal record type %u", type));
   }
   cursor.expect_end(to_string(record.type).data());
-  return record;
 }
 
 // --- Writer ----------------------------------------------------------------
@@ -491,47 +499,54 @@ void JournalWriter::open_segment(std::uint64_t first_record, bool fresh) {
   segment_bytes_ = 0;
   footer_hash_ = 0;
 
-  std::vector<std::uint8_t> header;
-  header.reserve(kSegmentHeaderBytes);
+  // The buffer is empty here (nothing is appended before the first
+  // segment opens, and seal_segment flushed the last one), and the header
+  // goes out at once, so a segment file always starts with a whole header.
   for (const char c : kSegmentMagic)
-    header.push_back(static_cast<std::uint8_t>(c));
-  wire::put<std::uint32_t>(header, kJournalVersion);
-  wire::put<std::uint64_t>(header, first_record);
-  wire::put<std::uint64_t>(header,
-                           util::xxh64(std::span(header).subspan(8, 12)));
-  write_bytes(header);
+    pending_.push_back(static_cast<std::uint8_t>(c));
+  wire::put<std::uint32_t>(pending_, kJournalVersion);
+  wire::put<std::uint64_t>(pending_, first_record);
+  wire::put<std::uint64_t>(pending_,
+                           util::xxh64(std::span(pending_).subspan(8, 12)));
+  segment_bytes_ += kSegmentHeaderBytes;
+  unsynced_bytes_ += kSegmentHeaderBytes;
+  stats_.bytes += kSegmentHeaderBytes;
+  flush();
   if (config_.fsync != FsyncPolicy::kNever)
     util::fsync_directory(config_.directory);
 }
 
-void JournalWriter::write_bytes(std::span<const std::uint8_t> bytes) {
+void JournalWriter::flush() {
   std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + written,
-                              bytes.size() - written);
+  while (written < pending_.size()) {
+    const ssize_t n = ::write(fd_, pending_.data() + written,
+                              pending_.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
+      // Keep only what the kernel did not take, so a retry cannot write
+      // a byte twice.
+      pending_.erase(pending_.begin(),
+                     pending_.begin() + static_cast<std::ptrdiff_t>(written));
       throw JournalError(util::format("write to %s failed: %s",
                                       segment_path_.c_str(),
                                       errno_detail().c_str()));
     }
     written += static_cast<std::size_t>(n);
   }
-  segment_bytes_ += bytes.size();
-  unsynced_bytes_ += bytes.size();
-  stats_.bytes += bytes.size();
+  pending_.clear();
 }
 
-std::uint64_t JournalWriter::write_frame(
+std::uint64_t JournalWriter::buffer_frame(
     std::span<const std::uint8_t> payload) {
   const std::uint64_t checksum = util::xxh64(payload);
-  // One write per frame, through a buffer the writer keeps: it grows to
-  // the largest frame once and is then reused without allocating.
-  frame_.clear();
-  wire::put<std::uint32_t>(frame_, static_cast<std::uint32_t>(payload.size()));
-  wire::put<std::uint64_t>(frame_, checksum);
-  frame_.insert(frame_.end(), payload.begin(), payload.end());
-  write_bytes(frame_);
+  wire::put<std::uint32_t>(pending_,
+                           static_cast<std::uint32_t>(payload.size()));
+  wire::put<std::uint64_t>(pending_, checksum);
+  pending_.insert(pending_.end(), payload.begin(), payload.end());
+  const std::uint64_t bytes = kFrameHeaderBytes + payload.size();
+  segment_bytes_ += bytes;
+  unsynced_bytes_ += bytes;
+  stats_.bytes += bytes;
   return checksum;
 }
 
@@ -540,7 +555,7 @@ void JournalWriter::append(std::span<const std::uint8_t> payload) {
   if (payload.empty() || payload.size() > kMaxFrameBytes)
     throw JournalError("journal record payload size out of range");
 
-  footer_hash_ = chain_footer_hash(footer_hash_, write_frame(payload));
+  footer_hash_ = chain_footer_hash(footer_hash_, buffer_frame(payload));
   ++segment_records_;
   ++next_record_;
   ++stats_.appends;
@@ -550,6 +565,8 @@ void JournalWriter::append(std::span<const std::uint8_t> payload) {
     seal_segment();
     ++stats_.rotations;
     open_segment(next_record_, /*fresh=*/true);
+  } else if (pending_.size() >= kFlushBytes) {
+    flush();
   }
 }
 
@@ -567,6 +584,7 @@ void JournalWriter::fsync_policy_tick() {
 }
 
 void JournalWriter::sync() {
+  flush();
   if (fd_ < 0 || unsynced_bytes_ == 0) return;
   if (::fdatasync(fd_) != 0)
     throw JournalError(util::format("fdatasync of %s failed: %s",
@@ -583,11 +601,13 @@ void JournalWriter::seal_segment() {
                           static_cast<std::uint8_t>(RecordType::kFooter));
   wire::put<std::uint64_t>(payload, segment_records_);
   wire::put<std::uint64_t>(payload, footer_hash_);
-  (void)write_frame(payload);
+  (void)buffer_frame(payload);
 
   if (config_.fsync != FsyncPolicy::kNever) {
     unsynced_bytes_ = segment_bytes_;  // force the sync below
     sync();
+  } else {
+    flush();
   }
   if (::close(fd_) != 0) {
     fd_ = -1;
@@ -617,7 +637,15 @@ ScanSummary scan_journal(const std::string& directory,
   if (!fs::exists(directory, ec)) return summary;
 
   const auto files = list_segments(directory);
-  for (std::size_t i = 0; i < files.size(); ++i) {
+  // Skip to the segment holding from_record; two names claiming one index
+  // (not a layout the writer makes) stop the skip, and the scan reads on.
+  std::size_t first_file = 0;
+  while (first_file + 1 < files.size() &&
+         files[first_file + 1].first <= options.from_record &&
+         files[first_file + 1].first > files[first_file].first)
+    ++first_file;
+  if (first_file > 0) summary.records = files[first_file].first;
+  for (std::size_t i = first_file; i < files.size(); ++i) {
     const auto& [name_index, path] = files[i];
     SegmentInfo info;
     info.path = path;
@@ -660,7 +688,7 @@ ScanSummary scan_journal(const std::string& directory,
           }
           RecordLocation location;
           location.index = name_index + local_records;
-          location.segment = i;
+          location.segment = summary.segments.size();
           location.offset = offset;
           if (!sink(location, payload)) return false;
           ++local_records;

@@ -44,6 +44,21 @@
 // A segment without a footer is simply the active tail — a crash mid-write
 // leaves a torn final frame, which recovery truncates (tolerant) or refuses
 // (strict).
+//
+// Group commit.  The writer frames records into one buffer it owns and
+// hands the buffer to the kernel in a single write(2) when it passes a
+// fixed size (64 KiB), on flush(), on sync(), at rotation and at close.
+// The engine keeps two guarantees on top (stream/engine.hpp):
+//   - write-ahead: no event enters the event log, published_seq() or the
+//     publish hook before every frame up to its event record has gone to
+//     write(2);
+//   - return means handed over: when an engine call that appended records
+//     returns, every one of them has gone to write(2).
+// So a process crash under FsyncPolicy::kNever loses at most the unflushed
+// frames of an engine call still in progress — never a published event or
+// a record of a call that returned.  Buffering changes no byte on disk:
+// segment contents, rotation points and fsync points are those of one
+// write per frame.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +99,10 @@ inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// spells out the trade-offs; the default is kInterval).
 enum class FsyncPolicy : std::uint8_t {
   kNever,        ///< rely on the OS page cache; fastest, widest loss window
-  kInterval,     ///< fdatasync every fsync_interval_bytes and at rotation
-  kEveryRecord,  ///< fdatasync after every append; slowest, loses nothing
+  /// flush and fdatasync once fsync_interval_bytes were appended since the
+  /// last fdatasync, and at rotation
+  kInterval,
+  kEveryRecord,  ///< write and fdatasync every append; slowest, loses nothing
 };
 
 [[nodiscard]] std::string_view to_string(FsyncPolicy policy) noexcept;
@@ -170,20 +187,30 @@ void encode_decode_stats_record(std::vector<std::uint8_t>& out,
 /// (unknown type, truncated fields, trailing bytes, invalid intents).
 [[nodiscard]] JournalRecord decode_record(std::span<const std::uint8_t> payload);
 
+/// In-place variant: decodes into `record`, reusing its path and community
+/// buffers, so a replay loop that keeps one JournalRecord decodes without
+/// allocating.  Only the fields of the decoded type are assigned; the
+/// others keep whatever an earlier record left there.  On throw `record`
+/// holds unspecified contents.
+void decode_record(std::span<const std::uint8_t> payload, JournalRecord& record);
+
 // --- Writer ----------------------------------------------------------------
 
 /// Cumulative writer-side counters (per process; recovery counters live on
 /// the engine).  Surfaced through EngineStats and serve STATS.
 struct JournalWriterStats {
   std::uint64_t appends = 0;  ///< record frames appended
-  std::uint64_t bytes = 0;    ///< bytes written (headers, frames, footers)
+  /// bytes appended (headers, frames, footers), buffered or written
+  std::uint64_t bytes = 0;
   std::uint64_t fsyncs = 0;
   std::uint64_t rotations = 0;
 };
 
 /// Appends framed records to the active segment of a journal directory,
-/// rotating and fsyncing per JournalConfig.  Not thread-safe: the stream
-/// engine calls it under its own mutex.
+/// rotating and fsyncing per JournalConfig.  Frames collect in a
+/// writer-owned buffer that reaches the file in one write(2) per flush
+/// (see the file comment).  Not thread-safe: the stream engine calls it
+/// under its own mutex.
 class JournalWriter {
  public:
   /// Opens the directory (creating it if missing) for appending with
@@ -197,17 +224,26 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Frames and appends one record payload; applies the fsync policy and
-  /// rotates the segment afterwards when it crossed max_segment_bytes.
-  /// Throws JournalError on IO failure.
+  /// Frames one record payload into the buffer; applies the fsync policy
+  /// and rotates the segment afterwards when it crossed
+  /// max_segment_bytes.  The frame reaches write(2) when the buffer passes
+  /// 64 KiB, or at the next flush(), sync(), rotation or close(); under
+  /// kEveryRecord before append returns.  Throws JournalError on IO
+  /// failure (of this frame or of earlier buffered ones).
   void append(std::span<const std::uint8_t> payload);
 
-  /// Forces an fdatasync of the active segment regardless of policy.
+  /// Hands every buffered frame to write(2) in one call; no fdatasync.
+  /// A no-op when nothing is buffered.  Throws JournalError when the
+  /// write fails; the bytes the kernel did not take stay buffered.
+  void flush();
+
+  /// flush(), then fdatasync of the active segment regardless of policy
+  /// (skipped when nothing was appended since the last one).
   void sync();
 
-  /// Seals the active segment with a footer frame and closes it.  Called
-  /// by the destructor when not invoked explicitly; explicit calls get IO
-  /// errors as exceptions instead of swallowed.
+  /// Seals the active segment with a footer frame, flushes it and closes
+  /// the file.  Called by the destructor when not invoked explicitly;
+  /// explicit calls get IO errors as exceptions instead of swallowed.
   void close();
 
   [[nodiscard]] const JournalConfig& config() const noexcept { return config_; }
@@ -221,9 +257,8 @@ class JournalWriter {
 
  private:
   void open_segment(std::uint64_t first_record, bool fresh);
-  void write_bytes(std::span<const std::uint8_t> bytes);
-  /// Frames and writes one payload; returns the checksum it stored.
-  std::uint64_t write_frame(std::span<const std::uint8_t> payload);
+  /// Frames one payload into the buffer; returns the checksum it stored.
+  std::uint64_t buffer_frame(std::span<const std::uint8_t> payload);
   void seal_segment();
   void fsync_policy_tick();
 
@@ -232,13 +267,14 @@ class JournalWriter {
   std::string segment_path_;
   std::uint64_t next_record_ = 0;
   std::uint64_t segment_first_record_ = 0;
-  std::uint64_t segment_bytes_ = 0;   // bytes in the active segment
+  std::uint64_t segment_bytes_ = 0;   // bytes appended to the active segment
   std::uint64_t segment_records_ = 0; // records framed in the active segment
   std::uint64_t footer_hash_ = 0;     // chain over record-frame checksums
-  std::uint64_t unsynced_bytes_ = 0;
+  std::uint64_t unsynced_bytes_ = 0;  // appended since the last fdatasync
   JournalWriterStats stats_;
   bool closed_ = false;
-  std::vector<std::uint8_t> frame_;  // write_frame's reused frame buffer
+  /// Appended bytes not yet handed to write(2); the active segment's tail.
+  std::vector<std::uint8_t> pending_;
 };
 
 // --- Scanner ---------------------------------------------------------------
@@ -271,6 +307,12 @@ struct ScanOptions {
   /// Strict scans throw JournalError at the first torn or corrupt frame;
   /// tolerant scans stop there and report it in the summary.
   bool strict = false;
+  /// Segments holding only records below this index are not read: the
+  /// scan starts at the segment that holds it and counts the records
+  /// before it from the segment names.  Only for a directory whose prefix
+  /// an earlier scan verified (recovery's replay); the summary then lists
+  /// only the segments read.
+  std::uint64_t from_record = 0;
 };
 
 /// Callback per valid record, in index order.  Returning false stops the

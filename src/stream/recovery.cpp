@@ -48,10 +48,11 @@ class JournalReplayer {
       case RecordType::kAnnounce: {
         if (!pending_.empty())
           return fail(index, "update interleaved into an event pass");
-        bgp::RibEntry entry;
-        entry.route.path = record.path;
-        entry.route.communities = record.communities;
-        engine_->window_.announce(entry, record.timestamp);
+        // The window reads only the path and communities; the copies reuse
+        // the entry's buffers.
+        entry_.route.path = record.path;
+        entry_.route.communities = record.communities;
+        engine_->window_.announce(entry_, record.timestamp);
         ++engine_->updates_since_reclassify_;
         return true;
       }
@@ -219,14 +220,17 @@ class JournalReplayer {
   bool strict_;
   std::vector<Event> pending_;  ///< journaled events awaiting their marker
   std::string detail_;
+  bgp::RibEntry entry_;  ///< the announce row, reused across records
 };
 
 namespace {
 
 /// Drives a scan's records through a JournalReplayer, decoding payloads
-/// and skipping records below `from_record`.  Returns the index one past
-/// the last applied record; sets `failed` when the replayer (or a decode)
-/// rejected a record there.
+/// into one reused record and skipping records below `from_record`.
+/// Returns the index one past the last applied record; sets `failed` when
+/// the replayer (or a decode) rejected a record there.  With `verified`,
+/// an earlier scan of `directory` already checked every segment below the
+/// one holding `from_record`, and those are not read again.
 struct ReplayDrive {
   std::uint64_t applied = 0;
   std::uint64_t stopped_at = 0;
@@ -236,17 +240,17 @@ struct ReplayDrive {
 
 [[nodiscard]] ReplayDrive drive_replay(JournalReplayer& replayer,
                                        const std::string& directory,
-                                       std::uint64_t from_record,
-                                       bool strict) {
+                                       std::uint64_t from_record, bool strict,
+                                       bool verified) {
   ReplayDrive drive;
+  JournalRecord record;
   const ScanSummary scan = scan_journal(
-      directory, ScanOptions{strict},
+      directory, ScanOptions{strict, verified ? from_record : 0},
       [&](const RecordLocation& location,
           std::span<const std::uint8_t> payload) {
         if (location.index < from_record) return true;
-        JournalRecord record;
         try {
-          record = decode_record(payload);
+          decode_record(payload, record);
         } catch (const JournalError& error) {
           if (strict) throw;
           drive.failed = true;
@@ -415,9 +419,11 @@ std::unique_ptr<StreamEngine> recover_stream(const JournalConfig& config,
   // Pass 2: replay the tail.  A logical replay failure in tolerant mode
   // becomes a new truncation point — state is rebuilt from scratch below
   // the failed record so the engine never carries half-applied state.
+  // Pass 1 verified every segment below the checkpoint's, and truncation
+  // only cuts at or past the valid prefix, so pass 2 reads from there.
   JournalReplayer replayer(*engine, options.strict);
-  ReplayDrive drive = drive_replay(replayer, directory,
-                                   checkpoint_record, options.strict);
+  ReplayDrive drive = drive_replay(replayer, directory, checkpoint_record,
+                                   options.strict, /*verified=*/true);
   if (drive.failed) {
     report.torn_detail = drive.detail;
     valid_records = drive.stopped_at;
@@ -430,7 +436,7 @@ std::unique_ptr<StreamEngine> recover_stream(const JournalConfig& config,
     if (checkpoint) engine->restore_state(checkpoint->state, checkpoint->paths);
     JournalReplayer retry(*engine, options.strict);
     ReplayDrive second = drive_replay(retry, directory, checkpoint_record,
-                                      options.strict);
+                                      options.strict, /*verified=*/true);
     if (second.failed)
       throw JournalError(util::format(
           "journal %s failed replay twice after truncation: %s",
@@ -474,7 +480,8 @@ ReplayReport replay_journal(StreamEngine& engine, const std::string& directory,
                             std::uint64_t from_record, bool strict) {
   ReplayReport report;
   JournalReplayer replayer(engine, strict);
-  ReplayDrive drive = drive_replay(replayer, directory, from_record, strict);
+  ReplayDrive drive = drive_replay(replayer, directory, from_record, strict,
+                                   /*verified=*/false);
   report.records_applied = drive.applied;
   report.stopped_at = drive.stopped_at;
   if (drive.failed) {

@@ -13,11 +13,13 @@
 //   2. Pick the newest checkpoint covering <= the valid record count and
 //      restore it (falling back to older checkpoints, then to empty, when
 //      a checkpoint file itself is damaged — tolerant only).
-//   3. Replay the records past the checkpoint.  Updates re-apply to the
-//      window; kReclassify markers re-run the classification passes at
-//      the exact boundaries of the original run, so the regenerated
-//      label-change events — sequence numbers included — are
-//      bit-identical, and the journaled event copies act as cross-checks.
+//   3. Replay the records past the checkpoint, reading again only from
+//      the segment that holds the first of them (step 1 verified the
+//      rest).  Updates re-apply to the window; kReclassify markers re-run
+//      the classification passes at the exact boundaries of the original
+//      run, so the regenerated label-change events — sequence numbers
+//      included — are bit-identical, and the journaled event copies act
+//      as cross-checks.
 //   4. Attach a JournalWriter resuming at the recovered record index, so
 //      the engine keeps appending where the crashed process stopped and
 //      reconnecting subscribers' `SUBSCRIBE from=seq` continues gap-free.

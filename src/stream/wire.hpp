@@ -33,12 +33,16 @@ inline void put_aspath(std::vector<std::uint8_t>& out, const bgp::AsPath& path) 
   }
 }
 
-[[nodiscard]] inline bgp::AsPath get_aspath(Cursor& cursor) {
+/// Refills `path` from the cursor, recycling its segments' ASN buffers.
+/// Every segment is non-empty (an empty one is refused), so the AsPath
+/// invariant holds without a cleanup pass.
+inline void get_aspath(Cursor& cursor, bgp::AsPath& path) {
   const std::uint32_t segment_count = cursor.get<std::uint32_t>();
-  std::vector<bgp::PathSegment> segments;
-  segments.reserve(segment_count);
-  for (std::uint32_t i = 0; i < segment_count; ++i) {
-    bgp::PathSegment segment;
+  std::vector<bgp::PathSegment>& segments = path.mutable_segments();
+  if (segment_count > cursor.remaining())
+    throw JournalError("journal path segment count exceeds payload");
+  segments.resize(segment_count);
+  for (bgp::PathSegment& segment : segments) {
     const std::uint8_t type = cursor.get<std::uint8_t>();
     if (type != static_cast<std::uint8_t>(bgp::SegmentType::kSet) &&
         type != static_cast<std::uint8_t>(bgp::SegmentType::kSequence))
@@ -48,12 +52,10 @@ inline void put_aspath(std::vector<std::uint8_t>& out, const bgp::AsPath& path) 
     const std::uint32_t asn_count = cursor.get<std::uint32_t>();
     if (asn_count == 0 || asn_count > cursor.remaining() / sizeof(std::uint32_t))
       throw JournalError("journal path segment count exceeds payload");
-    segment.asns.reserve(asn_count);
+    segment.asns.clear();
     for (std::uint32_t a = 0; a < asn_count; ++a)
       segment.asns.push_back(cursor.get<std::uint32_t>());
-    segments.push_back(std::move(segment));
   }
-  return bgp::AsPath(std::move(segments));
 }
 
 /// WindowConfig payload: window shape plus the classifier and observation

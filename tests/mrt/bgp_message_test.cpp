@@ -326,6 +326,69 @@ TEST(PathAttributesInPlace, SegmentSlotRecyclingShrinksPath) {
   EXPECT_EQ(attrs.as_path, bgp::AsPath(std::vector<bgp::Asn>{3356}));
 }
 
+/// Every field of two decoded UPDATEs, compared one by one.
+void expect_same_update(const BgpUpdate& got, const BgpUpdate& want) {
+  EXPECT_EQ(got.withdrawn, want.withdrawn);
+  EXPECT_EQ(got.announced, want.announced);
+  EXPECT_EQ(got.attrs.origin, want.attrs.origin);
+  EXPECT_EQ(got.attrs.as_path, want.attrs.as_path);
+  EXPECT_EQ(got.attrs.next_hop, want.attrs.next_hop);
+  EXPECT_EQ(got.attrs.med, want.attrs.med);
+  EXPECT_EQ(got.attrs.local_pref, want.attrs.local_pref);
+  EXPECT_EQ(got.attrs.communities, want.attrs.communities);
+  EXPECT_EQ(got.attrs.ext_communities, want.attrs.ext_communities);
+  EXPECT_EQ(got.attrs.large_communities, want.attrs.large_communities);
+}
+
+TEST(BgpMessageInPlace, ReuseResetsEveryField) {
+  // A full UPDATE, a KEEPALIVE and a bare UPDATE through one BgpUpdate:
+  // each must decode exactly as a fresh object would, with nothing left
+  // over from the message before it.
+  std::vector<std::vector<std::uint8_t>> messages;
+  {
+    BgpUpdate full;
+    full.withdrawn = {*bgp::Prefix::parse("203.0.113.0/24"),
+                      *bgp::Prefix::parse("198.18.0.0/15")};
+    full.attrs = sample_attrs();
+    full.attrs.ext_communities = {bgp::ExtCommunity::from_wire(0x0002fde800000064ull)};
+    full.announced = {*bgp::Prefix::parse("192.0.2.0/24"),
+                      *bgp::Prefix::parse("198.51.100.0/24")};
+    ByteWriter w;
+    encode_bgp_update(w, full);
+    messages.push_back(w.take());
+  }
+  {
+    ByteWriter w;
+    for (int i = 0; i < 16; ++i) w.put_u8(0xff);
+    w.put_u16(19);
+    w.put_u8(4);  // KEEPALIVE
+    messages.push_back(w.take());
+  }
+  {
+    BgpUpdate bare;
+    bare.attrs.as_path = bgp::AsPath(std::vector<bgp::Asn>{64500});
+    bare.announced = {*bgp::Prefix::parse("10.0.0.0/8")};
+    ByteWriter w;
+    encode_bgp_update(w, bare);
+    messages.push_back(w.take());
+  }
+
+  BgpUpdate reused;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    SCOPED_TRACE(i);
+    ByteReader fresh_reader(messages[i]);
+    const BgpUpdate fresh = decode_bgp_message(fresh_reader);
+    ByteReader reused_reader(messages[i]);
+    decode_bgp_message(reused_reader, /*asn16=*/false, reused);
+    EXPECT_EQ(reused_reader.remaining(), fresh_reader.remaining());
+    expect_same_update(reused, fresh);
+  }
+  // The first message set every field the later ones must have cleared.
+  EXPECT_TRUE(reused.withdrawn.empty());
+  EXPECT_FALSE(reused.attrs.med);
+  EXPECT_TRUE(reused.attrs.ext_communities.empty());
+}
+
 }  // namespace scratch_reuse
 
 }  // namespace

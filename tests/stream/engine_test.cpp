@@ -1,6 +1,7 @@
 // StreamEngine unit tests: event sequencing, delta resumption (including
 // the trimmed-backlog gap that forces a snapshot resync), protocol-driven
-// announcements, RIB priming, and decode counter accounting.
+// announcements, RIB priming, decode counter accounting, and the journal's
+// write-ahead and return-means-written guarantees.
 #include "stream/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -290,6 +291,114 @@ TEST(StreamEngine, TolerantIngestOfCorruptStreamCountsErrors) {
   EXPECT_EQ(stats.updates_ok, report.records_ok);
   EXPECT_EQ(stats.updates_errors, report.records_skipped);
   EXPECT_GT(stats.updates_ok, 0u);
+}
+
+// --- The journal contract: what is on disk when -------------------------
+
+/// A small synthetic update stream (a few thousand records).
+std::vector<std::uint8_t> small_stream(std::uint64_t seed) {
+  SynthStreamConfig cfg;
+  cfg.scenario.topology.seed = seed;
+  cfg.scenario.topology.tier1_count = 4;
+  cfg.scenario.topology.tier2_count = 12;
+  cfg.scenario.topology.stub_count = 40;
+  cfg.scenario.vantage_point_count = 8;
+  cfg.epochs = 2;
+  return generate_update_stream(cfg).bytes;
+}
+
+/// fsync=never, so only write(2) stands between a record and the files,
+/// and segments small enough to rotate several times.
+std::unique_ptr<JournalWriter> unsynced_writer(const std::string& dir) {
+  JournalConfig config;
+  config.directory = dir;
+  config.max_segment_bytes = 16u << 10;
+  config.fsync = FsyncPolicy::kNever;
+  return std::make_unique<JournalWriter>(config, 0);
+}
+
+/// Seqs of the kEvent records the journal files hold right now.
+std::vector<std::uint64_t> event_seqs_on_disk(const std::string& dir) {
+  std::vector<std::uint64_t> seqs;
+  (void)scan_journal(
+      dir, {},
+      [&](const RecordLocation&, std::span<const std::uint8_t> payload) {
+        const JournalRecord record = decode_record(payload);
+        if (record.type == RecordType::kEvent) seqs.push_back(record.seq);
+        return true;
+      });
+  return seqs;
+}
+
+/// Write-ahead: when the publish hook runs, every event up to
+/// published_seq() is already in the files, while the writer is open.
+TEST(StreamEngineJournal, NoEventPublishesBeforeItsRecordIsWritten) {
+  const std::string dir = test_support::unique_temp_path("write_ahead");
+  StreamEngine engine;
+  engine.attach_journal(unsynced_writer(dir));
+  std::uint64_t publishes = 0;
+  engine.set_publish_hook([&] {
+    ++publishes;
+    const std::uint64_t published = engine.published_seq();
+    const std::vector<std::uint64_t> seqs = event_seqs_on_disk(dir);
+    ASSERT_GE(seqs.size(), published) << "publish " << publishes;
+    for (std::uint64_t seq = 1; seq <= published; ++seq)
+      ASSERT_EQ(seqs[seq - 1], seq);
+  });
+  for (const std::uint64_t seed : {61u, 62u, 63u})
+    engine.ingest(mrt::BufferSource{small_stream(seed)});
+  engine.announce(entry(61, {61, 700, 701}, {bgp::Community(700, 5)}));
+  (void)engine.label_of(bgp::Community(700, 5));
+  EXPECT_GE(publishes, 4u);
+  EXPECT_GT(engine.last_seq(), 100u);
+  engine.set_publish_hook(nullptr);
+  engine.detach_journal();
+  std::filesystem::remove_all(dir);
+}
+
+/// Return means written: after ingest() returns, every record it appended
+/// scans from the files, including an ingest whose end leaves nothing
+/// dirty (it appends only its decode-stats record).
+TEST(StreamEngineJournal, IngestReturnsWithEveryRecordWritten) {
+  const std::string dir = test_support::unique_temp_path("ingest_written");
+  StreamEngine engine;
+  engine.attach_journal(unsynced_writer(dir));
+  EXPECT_EQ(scan_journal(dir).records, engine.stats().journal_appends);
+  for (const std::uint64_t seed : {71u, 72u}) {
+    engine.ingest(mrt::BufferSource{small_stream(seed)});
+    EXPECT_EQ(scan_journal(dir).records, engine.stats().journal_appends);
+  }
+  const std::uint64_t before = engine.stats().journal_appends;
+  engine.ingest(mrt::BufferSource{std::vector<std::uint8_t>{}});
+  EXPECT_EQ(engine.stats().journal_appends, before + 1);
+  EXPECT_EQ(scan_journal(dir).records, engine.stats().journal_appends);
+  engine.detach_journal();
+  std::filesystem::remove_all(dir);
+}
+
+/// The serve INGEST sequence (announce per pair, record_decode, then
+/// reclassify): each call returns with its records in the files.
+TEST(StreamEngineJournal, ServeIngestSequenceReturnsWithEveryRecordWritten) {
+  const std::string dir = test_support::unique_temp_path("serve_written");
+  StreamEngine engine;
+  engine.attach_journal(unsynced_writer(dir));
+  std::uint32_t timestamp = 1000;
+  for (std::uint16_t round = 0; round < 6; ++round) {
+    for (std::uint16_t pair = 0; pair < 5; ++pair) {
+      const auto alpha = static_cast<std::uint16_t>(100 + pair);
+      engine.announce(entry(61u + round, {61u + round, alpha, 201u + round},
+                            {bgp::Community(alpha, round), bgp::Community(9, 1)}),
+                      timestamp += 600);
+      EXPECT_EQ(scan_journal(dir).records, engine.stats().journal_appends);
+    }
+    engine.record_decode(5, round % 2);
+    EXPECT_EQ(scan_journal(dir).records, engine.stats().journal_appends);
+    engine.reclassify();
+    EXPECT_EQ(scan_journal(dir).records, engine.stats().journal_appends);
+  }
+  EXPECT_GT(engine.last_seq(), 0u);
+  engine.detach_journal();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -331,6 +332,50 @@ TEST(JournalScan, SinkCanStopEarly) {
   EXPECT_FALSE(summary.torn);
 }
 
+TEST(JournalScan, FromRecordSkipsOnlySegmentsBelowIt) {
+  const ScratchDir dir("from_record");
+  {
+    JournalWriter writer(small_segments(dir, 512), 0);
+    for (std::uint32_t i = 0; i < 60; ++i)
+      writer.append(announce_payload(7000 + i));
+    writer.close();
+  }
+  const auto indices = [&](std::uint64_t from_record) {
+    std::vector<std::uint64_t> seen;
+    ScanOptions options;
+    options.from_record = from_record;
+    const ScanSummary summary = scan_journal(
+        dir.str(), options,
+        [&](const RecordLocation& location, std::span<const std::uint8_t>) {
+          seen.push_back(location.index);
+          return true;
+        });
+    EXPECT_FALSE(summary.torn);
+    EXPECT_EQ(summary.records, 60u);
+    return std::make_pair(summary.segments, seen);
+  };
+  const auto [all_segments, all] = indices(0);
+  ASSERT_GE(all_segments.size(), 4u);
+  ASSERT_EQ(all.size(), 60u);
+
+  // The scan starts at the segment holding record 40 and reads on to the
+  // end; the segments before it are neither read nor listed.
+  const auto [tail_segments, tail] = indices(40);
+  ASSERT_FALSE(tail.empty());
+  EXPECT_LE(tail.front(), 40u);
+  EXPECT_GT(tail.front(), 0u);
+  EXPECT_EQ(tail.front(), tail_segments.front().first_record);
+  EXPECT_EQ(tail.back(), 59u);
+  EXPECT_EQ(tail.size(), 60u - tail.front());
+  EXPECT_LT(tail_segments.size(), all_segments.size());
+
+  // A scan from record 0 still requires the record space to start there.
+  fs::remove(all_segments.front().path);
+  const ScanSummary holed = scan_journal(dir.str());
+  EXPECT_TRUE(holed.torn);
+  EXPECT_EQ(holed.records, 0u);
+}
+
 TEST(FsyncPolicy, NamesRoundTrip) {
   for (const FsyncPolicy policy :
        {FsyncPolicy::kNever, FsyncPolicy::kInterval,
@@ -351,6 +396,55 @@ TEST(JournalWriter, EveryRecordPolicySyncsPerAppend) {
   writer.append(announce_payload(2));
   EXPECT_GE(writer.stats().fsyncs, 2u);
   writer.close();
+}
+
+TEST(JournalWriter, BufferedFramesLeaveTheSameSegmentsAsPerRecordWrites) {
+  // every-record hands each frame to the kernel on its own; never and
+  // interval collect frames in the writer's buffer.  The segment files,
+  // rotation points and footers must come out byte for byte the same.
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (std::uint32_t i = 0; i < 1500; ++i) {
+    std::vector<Community> communities;
+    for (std::uint32_t c = 0; c < i % 40; ++c)
+      communities.emplace_back(static_cast<std::uint16_t>(100 + c),
+                               static_cast<std::uint16_t>(i));
+    std::vector<std::uint8_t> payload;
+    encode_announce_record(payload, bgp::AsPath({61, 100 + i % 7, 201}),
+                           communities, 1000 + i);
+    payloads.push_back(std::move(payload));
+    if (i == 450) {
+      // One frame larger than the writer's 64 KiB buffer.
+      std::vector<std::uint8_t> large;
+      encode_announce_record(large, bgp::AsPath({61, 100, 201}),
+                             std::vector<Community>(20000, Community(7, 7)),
+                             1000 + i);
+      payloads.push_back(std::move(large));
+    }
+  }
+
+  using Files = std::vector<std::pair<std::string, std::vector<std::uint8_t>>>;
+  const auto write_all = [&](FsyncPolicy policy, const char* tag) {
+    const ScratchDir dir(tag);
+    JournalConfig cfg = small_segments(dir, 96u << 10);
+    cfg.fsync = policy;
+    cfg.fsync_interval_bytes = 10000;
+    {
+      JournalWriter writer(cfg, 0);
+      for (const auto& payload : payloads) writer.append(payload);
+      EXPECT_GE(writer.stats().rotations, 2u) << tag;
+      writer.close();
+    }
+    Files files;
+    for (const auto& entry : fs::directory_iterator(dir.path))
+      files.emplace_back(entry.path().filename().string(),
+                         read_whole(entry.path().string()));
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const Files every_record = write_all(FsyncPolicy::kEveryRecord, "every");
+  ASSERT_GE(every_record.size(), 3u);
+  EXPECT_TRUE(write_all(FsyncPolicy::kNever, "never") == every_record);
+  EXPECT_TRUE(write_all(FsyncPolicy::kInterval, "interval") == every_record);
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsEngineState) {
