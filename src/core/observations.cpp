@@ -1,6 +1,7 @@
 #include "core/observations.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/thread_pool.hpp"
 
@@ -25,6 +26,53 @@ namespace {
 [[nodiscard]] constexpr bgp::PathId packed_path(std::uint64_t rec) noexcept {
   return static_cast<bgp::PathId>(rec);
 }
+
+/// First-sight filter applied to packed keys in the sequential packing pass,
+/// before anything is sorted.  A week of RIB dumps re-announces every
+/// stable route, so the tuple stream repeats its keys many times over
+/// (perfbench's batch_infer: 439,546 keys, 20,831 distinct, a 21x repeat);
+/// dropping a key its slot already holds lets finalize_shard sort the
+/// survivors instead of every tuple.
+///
+/// Direct-mapped, one key per slot: a key equal to its slot's content is a
+/// repeat and is dropped; any other key takes the slot and is kept.  A
+/// slot only ever holds a key that was kept, so every dropped key has a
+/// kept copy and the filter never loses a distinct key.  It may keep
+/// repeats (a key evicted between two sightings passes again), which is
+/// why finalize_shard's sort+unique stays the exact step: the index is
+/// identical with or without the filter, for any input and pool size.
+class FirstSightFilter {
+ public:
+  /// One slot per tuple up to 2^16 slots (512 KiB): a larger table filters
+  /// more but costs peak memory.
+  explicit FirstSightFilter(std::size_t key_count)
+      : slots_(std::bit_ceil(std::clamp(key_count, kMinSlots, kMaxSlots)),
+               kEmpty),
+        shift_(64 - std::countr_zero(slots_.size())) {}
+
+  [[nodiscard]] std::size_t slots() const noexcept { return slots_.size(); }
+
+  /// False when `key` is a repeat of its slot's content (drop it); true
+  /// when it is kept, in which case it now owns the slot.
+  [[nodiscard]] bool first_sight(std::uint64_t key) noexcept {
+    std::uint64_t& slot = slots_[(key * 0x9e3779b97f4a7c15ull) >> shift_];
+    if (slot == key) return false;
+    slot = key;
+    return true;
+  }
+
+ private:
+  // At least 64 slots keeps shift_ below 64 for a tiny input.
+  static constexpr std::size_t kMinSlots = std::size_t{1} << 6;
+  static constexpr std::size_t kMaxSlots = std::size_t{1} << 16;
+  // No key equals ~0: it would be community 65535:65535 on PathId
+  // 0xffffffff, and PathTable never assigns that id (it is the table's own
+  // empty-slot marker).
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  std::vector<std::uint64_t> slots_;
+  int shift_;
+};
 
 /// One shard's accumulation state: the packed records it owns and, after
 /// finalize_shard, its per-community stats.  In the parallel build each
@@ -126,10 +174,10 @@ void finalize_shard(const bgp::PathTable& paths, Shard& shard,
 /// on-path-ASN accounting walks a sorted id list — none of it depends on
 /// shard count or completion order.
 struct ObservationBuilder {
-  static ObservationIndex merge_shards(
-      const bgp::PathTable& paths, std::span<const bgp::InternedTuple> tuples,
-      std::vector<Shard>& shards, const topo::OrgMap* orgs,
-      const ObservationConfig& config) {
+  static ObservationIndex merge_shards(const bgp::PathTable& paths,
+                                       std::vector<Shard>& shards,
+                                       const topo::OrgMap* orgs,
+                                       const ObservationConfig& config) {
     ObservationIndex index;
     index.orgs_ = orgs;
     index.sibling_aware_ = config.sibling_aware;
@@ -145,12 +193,15 @@ struct ObservationBuilder {
                 return x.community < y.community;
               });
 
-    // Unique paths and the ASN-on-path universe come from the tuple
-    // stream, not the table: a table entry no tuple references (possible
-    // with a shared/larger table) must not count.  Dense ids turn the
-    // dedup into a bitvector instead of a sort.
+    // Unique paths and the ASN-on-path universe come from the tuples, not
+    // the table: a table entry no tuple references (possible with a
+    // shared/larger table) must not count.  The shards' deduplicated
+    // records name every referenced path, and dense ids turn the dedup
+    // into a bitvector instead of a sort.
     std::vector<bool> seen(paths.size(), false);
-    for (const bgp::InternedTuple& tuple : tuples) seen[tuple.path] = true;
+    for (const Shard& shard : shards)
+      for (const std::uint64_t rec : shard.records)
+        seen[packed_path(rec)] = true;
     for (bgp::PathId id = 0; id < paths.size(); ++id) {
       if (!seen[id]) continue;
       ++index.unique_paths_;
@@ -166,11 +217,16 @@ ObservationIndex ObservationIndex::build_interned(
     const topo::OrgMap* orgs, const rel::RelationshipDataset* relationships,
     const ObservationConfig& config) {
   std::vector<Shard> shards(1);
-  shards[0].records.reserve(tuples.size());
+  FirstSightFilter filter(tuples.size());
+  // Repeated input leaves a fraction of the tuples (67,009 of 439,546 on
+  // batch_infer), so a block sized for every tuple would go mostly
+  // untouched; reserve for two filters' worth and let the rest grow.
+  shards[0].records.reserve(std::min(tuples.size(), 2 * filter.slots()));
   for (const bgp::InternedTuple& tuple : tuples)
-    shards[0].records.push_back(pack(tuple));
+    if (const std::uint64_t key = pack(tuple); filter.first_sight(key))
+      shards[0].records.push_back(key);
   finalize_shard(paths, shards[0], orgs, relationships, config.sibling_aware);
-  return ObservationBuilder::merge_shards(paths, tuples, shards, orgs, config);
+  return ObservationBuilder::merge_shards(paths, shards, orgs, config);
 }
 
 ObservationIndex ObservationIndex::build_parallel_interned(
@@ -186,19 +242,21 @@ ObservationIndex ObservationIndex::build_parallel_interned(
   const std::size_t shard_count =
       std::min<std::size_t>(static_cast<std::size_t>(pool.size()) * 4, 256);
 
-  // Bucket the packed records by owning shard (cheap single pass); each
-  // shard task then sorts and counts only its own communities.
+  // Bucket the packed records by owning shard (cheap single pass, through
+  // the same first-sight filter as the sequential build); each shard task
+  // then sorts and counts only its own communities.
   std::vector<Shard> shards(shard_count);
+  FirstSightFilter filter(tuples.size());
   for (const bgp::InternedTuple& tuple : tuples)
-    shards[tuple.community.alpha() % shard_count].records.push_back(
-        pack(tuple));
+    if (const std::uint64_t key = pack(tuple); filter.first_sight(key))
+      shards[tuple.community.alpha() % shard_count].records.push_back(key);
 
   pool.parallel_for(shard_count, [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s)
       finalize_shard(paths, shards[s], orgs, relationships,
                      config.sibling_aware);
   });
-  return ObservationBuilder::merge_shards(paths, tuples, shards, orgs, config);
+  return ObservationBuilder::merge_shards(paths, shards, orgs, config);
 }
 
 const CommunityStats* ObservationIndex::find(Community community) const noexcept {

@@ -21,6 +21,14 @@
 // plain PathId vectors deduplicated by sort+unique at merge time instead
 // of per-community hash sets.
 //
+// Repeated keys: RIB dumps re-announce every stable route, so one (path,
+// community) key arrives many times (perfbench's batch_infer repeats each
+// 21x on average).  The packing pass drops a key that its slot in a small
+// direct-mapped first-sight filter already holds, so the sort sees far
+// fewer keys.  The filter only ever drops a copy of a key it kept, and
+// sort+unique still removes the repeats it lets through, so the index is
+// exactly the one built without it.
+//
 // Parallel construction (build_parallel_interned, docs/THREADING.md):
 // tuples are sharded by `alpha % shard_count`, so every community — and
 // with it every on/off-path set and vote counter — is owned by exactly one

@@ -62,8 +62,7 @@ struct ParsedSegment {
   std::string torn_detail;
 };
 
-using FrameSink =
-    std::function<bool(std::uint64_t offset, std::span<const std::uint8_t>)>;
+using FrameSink = std::function<bool(std::span<const std::uint8_t>)>;
 
 [[nodiscard]] ParsedSegment parse_segment(std::span<const std::uint8_t> bytes,
                                           const std::string& path,
@@ -157,7 +156,7 @@ using FrameSink =
   for (std::uint64_t i = 0; i < parsed.records; ++i) {
     wire::Cursor frame(bytes.subspan(pos, kFrameHeaderBytes), "journal");
     const std::uint64_t length = frame.get<std::uint32_t>();
-    if (!on_record(pos, bytes.subspan(pos + kFrameHeaderBytes, length))) {
+    if (!on_record(bytes.subspan(pos + kFrameHeaderBytes, length))) {
       // Stopped inside the verified prefix: what lies past it is unread.
       parsed.records = i;
       parsed.valid_bytes = pos;
@@ -681,16 +680,13 @@ ScanSummary scan_journal(const std::string& directory,
     std::uint64_t local_records = 0;
     const ParsedSegment parsed = parse_segment(
         bytes, path,
-        [&](std::uint64_t offset, std::span<const std::uint8_t> payload) {
+        [&](std::span<const std::uint8_t> payload) {
           if (sink == nullptr) {
             ++local_records;
             return true;
           }
-          RecordLocation location;
-          location.index = name_index + local_records;
-          location.segment = summary.segments.size();
-          location.offset = offset;
-          if (!sink(location, payload)) return false;
+          if (!sink(RecordLocation{name_index + local_records}, payload))
+            return false;
           ++local_records;
           return true;
         });

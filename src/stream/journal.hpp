@@ -289,11 +289,9 @@ struct SegmentInfo {
   bool sealed = false;           ///< ends in a verified footer frame
 };
 
-/// Where one record's frame lives, for truncation bookkeeping.
+/// Which record a scan delivers, for truncation bookkeeping.
 struct RecordLocation {
-  std::uint64_t index = 0;        ///< global record index
-  std::size_t segment = 0;        ///< index into ScanSummary::segments
-  std::uint64_t offset = 0;       ///< frame start within the segment file
+  std::uint64_t index = 0;  ///< global record index
 };
 
 struct ScanSummary {
